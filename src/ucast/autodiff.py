@@ -2,7 +2,8 @@
 
 The primitive set is fixed and small; every adjoint is written out by hand
 against the forward formula in :mod:`ucast.linalg`.  A tape is built for one
-loss evaluation, swept backward once, and discarded.  Node values are float64
+loss evaluation (one window or a whole minibatch stack), swept backward
+once, and discarded.  Node values are float64
 numpy arrays; scalars are 0-d arrays.  The log-det penalty gets a closed-form
 adjoint rather than differentiating through its factorization.
 """
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingGradientError, NumericError, ShapeError
-from .linalg import as_matrix, cholesky_logdet, layer_norm, require_finite, softmax_rows
+from .linalg import as_stack, cholesky_logdet, layer_norm, require_finite, softmax_rows
 
 
 class Node:
@@ -24,10 +25,6 @@ class Node:
         self.value = value
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 def _accumulate(node: Node, delta: np.ndarray) -> None:
@@ -39,8 +36,40 @@ def _accumulate(node: Node, delta: np.ndarray) -> None:
         node.grad += delta
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to an operand's shape."""
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _broadcasting(op, a: Node, b: Node) -> np.ndarray:
+    try:
+        return op(a.value, b.value)
+    except ValueError:
+        raise ShapeError(f"{op.__name__}: shapes differ, {a.value.shape} vs "
+                         f"{b.value.shape}") from None
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a stack times one matrix runs as a single flattened product."""
+    if a.ndim == 3 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[1])
+    return a @ b
+
+
 class Tape:
-    """Ordered record of primitive applications for one backward sweep."""
+    """Ordered record of primitive applications for one backward sweep.
+
+    Every primitive takes one (rows, cols) window or a (B, rows, cols) stack
+    of them; a 2-D operand meeting a stack is shared by every window, and
+    its gradient is the sum over the stack.
+    """
 
     def __init__(self):
         self._records: list[tuple[Node, Callable[[np.ndarray], None]]] = []
@@ -62,72 +91,48 @@ class Tape:
     # -- primitives --------------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ShapeError(
-                f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
-        out = Node(a.value @ b.value, a.requires_grad or b.requires_grad)
+        av, bv = a.value, b.value
+        if min(av.ndim, bv.ndim) < 2 or av.shape[-1] != bv.shape[-2]:
+            raise ShapeError(f"matmul: inner dims differ, {av.shape} x {bv.shape}")
+        out = Node(_matmul(av, bv), a.requires_grad or b.requires_grad)
 
         def backward(g):
-            _accumulate(a, g @ b.value.T)
-            _accumulate(b, a.value.T @ g)
+            # a shared 2-D operand reduces over the stack in one product
+            if a.requires_grad:
+                _accumulate(a, _matmul(g, _swap(bv)) if av.ndim == g.ndim
+                            else np.tensordot(g, bv, axes=([0, 2], [0, 2])))
+            if b.requires_grad:
+                _accumulate(b, _swap(av) @ g if bv.ndim == g.ndim
+                            else np.tensordot(av, g, axes=([0, 1], [0, 1])))
 
         return self._emit(out, backward)
 
     def transpose(self, a: Node) -> Node:
-        out = Node(a.value.T.copy(), a.requires_grad)
+        out = Node(_swap(a.value), a.requires_grad)
 
         def backward(g):
-            _accumulate(a, g.T)
+            _accumulate(a, _swap(g))
 
         return self._emit(out, backward)
 
     def add(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-        out = Node(a.value + b.value, a.requires_grad or b.requires_grad)
+        """Elementwise sum; a row or column bias broadcasts over a matrix or
+        a stack, and its gradient sums back to the bias shape."""
+        out = Node(_broadcasting(np.add, a, b), a.requires_grad or b.requires_grad)
 
         def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            _accumulate(a, _unbroadcast(g, a.value.shape))
+            _accumulate(b, _unbroadcast(g, b.value.shape))
 
         return self._emit(out, backward)
 
     def sub(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"sub: shapes differ, {a.value.shape} vs {b.value.shape}")
-        out = Node(a.value - b.value, a.requires_grad or b.requires_grad)
+        out = Node(_broadcasting(np.subtract, a, b),
+                   a.requires_grad or b.requires_grad)
 
         def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
-
-        return self._emit(out, backward)
-
-    def add_rowvec(self, m: Node, v: Node) -> Node:
-        """Broadcast a 1 x cols bias over every row."""
-        if v.value.shape != (1, m.value.shape[1]):
-            raise ShapeError(
-                f"add_rowvec: bias shape {v.value.shape} vs columns "
-                f"{m.value.shape[1]}")
-        out = Node(m.value + v.value, m.requires_grad or v.requires_grad)
-
-        def backward(g):
-            _accumulate(m, g)
-            _accumulate(v, g.sum(axis=0, keepdims=True))
-
-        return self._emit(out, backward)
-
-    def add_colvec(self, m: Node, v: Node) -> Node:
-        """Broadcast a rows x 1 bias over every column."""
-        if v.value.shape != (m.value.shape[0], 1):
-            raise ShapeError(
-                f"add_colvec: bias shape {v.value.shape} vs rows "
-                f"{m.value.shape[0]}")
-        out = Node(m.value + v.value, m.requires_grad or v.requires_grad)
-
-        def backward(g):
-            _accumulate(m, g)
-            _accumulate(v, g.sum(axis=1, keepdims=True))
+            _accumulate(a, _unbroadcast(g, a.value.shape))
+            _accumulate(b, _unbroadcast(-g, b.value.shape))
 
         return self._emit(out, backward)
 
@@ -162,66 +167,70 @@ class Tape:
         out = Node(s, m.requires_grad)
 
         def backward(g):
-            dot = (g * s).sum(axis=1, keepdims=True)
+            dot = (g * s).sum(axis=-1, keepdims=True)
             _accumulate(m, s * (g - dot))
 
         return self._emit(out, backward)
 
     def layer_norm(self, m: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-        x = as_matrix(m.value, "layer_norm input")
+        x = as_stack(m.value, "layer_norm input")
         out_val = layer_norm(x, gain.value, bias.value, eps)
-        mu = x.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
         xhat = (x - mu) * inv
-        g_row = gain.value.reshape(1, -1)
+        g_row = gain.value.reshape(-1)
         out = Node(out_val,
                    m.requires_grad or gain.requires_grad or bias.requires_grad)
 
         def backward(g):
             gx_hat = g * g_row
-            m1 = gx_hat.mean(axis=1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=1, keepdims=True)
+            m1 = gx_hat.mean(axis=-1, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
             _accumulate(m, inv * (gx_hat - m1 - xhat * m2))
-            _accumulate(gain, (g * xhat).sum(axis=0).reshape(gain.value.shape))
-            _accumulate(bias, g.sum(axis=0).reshape(bias.value.shape))
+            cols = g.shape[-1]
+            _accumulate(gain, (g * xhat).reshape(-1, cols).sum(axis=0)
+                        .reshape(gain.value.shape))
+            _accumulate(bias, g.reshape(-1, cols).sum(axis=0)
+                        .reshape(bias.value.shape))
 
         return self._emit(out, backward)
 
     def slice_cols(self, m: Node, j0: int, j1: int) -> Node:
-        if not (0 <= j0 < j1 <= m.value.shape[1]):
+        if not (0 <= j0 < j1 <= m.value.shape[-1]):
             raise ShapeError(
                 f"slice_cols: [{j0}:{j1}] out of range for {m.value.shape}")
-        out = Node(m.value[:, j0:j1].copy(), m.requires_grad)
+        out = Node(m.value[..., j0:j1], m.requires_grad)
 
         def backward(g):
             full = np.zeros_like(m.value)
-            full[:, j0:j1] = g
+            full[..., j0:j1] = g
             _accumulate(m, full)
 
         return self._emit(out, backward)
 
     def concat_cols(self, parts: list[Node]) -> Node:
-        rows = parts[0].value.shape[0]
+        rows = parts[0].value.shape[:-1]
         for p in parts:
-            if p.value.shape[0] != rows:
+            if p.value.shape[:-1] != rows:
                 raise ShapeError("concat_cols: row counts differ")
-        widths = [p.value.shape[1] for p in parts]
-        out = Node(np.concatenate([p.value for p in parts], axis=1),
+        widths = [p.value.shape[-1] for p in parts]
+        out = Node(np.concatenate([p.value for p in parts], axis=-1),
                    any(p.requires_grad for p in parts))
 
         def backward(g):
             j = 0
             for p, w in zip(parts, widths):
-                _accumulate(p, g[:, j:j + w])
+                _accumulate(p, g[..., j:j + w])
                 j += w
 
         return self._emit(out, backward)
 
     def row_affine_const(self, m: Node, mul: np.ndarray, shift: np.ndarray) -> Node:
-        """out[i, :] = m[i, :] * mul[i] + shift[i]; mul/shift carry no gradient."""
-        mul = np.asarray(mul, dtype=np.float64).reshape(-1, 1)
-        shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
-        if mul.shape[0] != m.value.shape[0] or shift.shape[0] != m.value.shape[0]:
+        """out[..., i, :] = m[..., i, :] * mul[..., i] + shift[..., i];
+        mul/shift carry no gradient."""
+        mul = np.asarray(mul, dtype=np.float64)[..., None]
+        shift = np.asarray(shift, dtype=np.float64)[..., None]
+        if mul.shape[:-1] != m.value.shape[:-1] or shift.shape != mul.shape:
             raise ShapeError("row_affine_const: per-row constants mismatch rows")
         out = Node(m.value * mul + shift, m.requires_grad)
 
@@ -231,39 +240,42 @@ class Tape:
         return self._emit(out, backward)
 
     def cov_penalty(self, h: Node, eps: float) -> Node:
-        """-(1/C') log det((1/d) H H^T + eps I) with its closed-form adjoint."""
-        hv = as_matrix(h.value, "cov_penalty input")
-        c_rows, d = hv.shape
-        sigma = (hv @ hv.T) / d
-        guarded = sigma + eps * np.eye(c_rows)
-        val = -cholesky_logdet(guarded) / c_rows
+        """-(1/C') log det((1/d) H H^T + eps I) with its closed-form adjoint;
+        a stack gives the mean penalty over its windows."""
+        hv = as_stack(h.value, "cov_penalty input")
+        c_rows, d = hv.shape[-2:]
+        windows = hv.size // (c_rows * d)
+        guarded = _matmul(hv, _swap(hv)) / d + eps * np.eye(c_rows)
+        val = -np.mean(cholesky_logdet(guarded)) / c_rows
         out = Node(np.asarray(val, dtype=np.float64), h.requires_grad)
 
         def backward(g):
-            # d/dH of -(1/C') log det((1/d) H H^T + eps I)
-            _accumulate(h, float(g) * (-2.0 / (c_rows * d)) * np.linalg.solve(guarded, hv))
+            # d/dH of -(1/C') log det((1/d) H H^T + eps I), per window
+            _accumulate(h, float(g) * (-2.0 / (c_rows * d * windows))
+                        * np.linalg.solve(guarded, hv))
 
         return self._emit(out, backward)
 
     # -- sweep -------------------------------------------------------------
 
     def backward(self, loss: Node) -> None:
+        """Sweep the tape once, newest record first.
+
+        Each record, and its output's gradient, is dropped once swept, so
+        activations are released as the sweep passes them.
+        """
         if loss.value.ndim != 0:
             raise ShapeError(
                 f"backward: loss must be scalar, got shape {loss.value.shape}")
         if not np.isfinite(loss.value):
             raise NumericError("backward: loss is non-finite")
         loss.grad = np.asarray(1.0, dtype=np.float64)
-        for out, backward_fn in reversed(self._records):
+        records = self._records
+        while records:
+            out, backward_fn = records.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
-
-    @staticmethod
-    def grad_of(node: Node) -> np.ndarray:
-        if node.grad is None:
-            raise MissingGradientError(
-                "parameter never reached the loss on this tape")
-        return node.grad
+                out.grad = None
 
 
 def gradients(nodes: dict[str, Node]) -> dict[str, np.ndarray]:

@@ -37,6 +37,7 @@ from .autodiff import Node, Tape
 from .data import TimeSeriesDataset, WindowBatch, sliding_windows, \
     zscore_apply, zscore_fit
 from .errors import ParameterError, ShapeError
+from .linalg import as_stack
 from .rng import Stream
 from .training import TrainConfig, TrainReport, train
 from .varlab import make_var_spec, simulate
@@ -95,16 +96,18 @@ class LinearBaseline:
 
     def _predict_node(self, tape: Tape, nodes: dict[str, Node],
                       x: np.ndarray) -> Node:
-        if x.shape != (self.channels, self.lookback):
+        """One (C, T) window or a (B, C, T) stack through the same graph."""
+        x = as_stack(x, "window")
+        if x.shape[-2:] != (self.channels, self.lookback):
             raise ShapeError(
                 f"window shape {x.shape} vs (C={self.channels}, "
                 f"T={self.lookback})")
-        per_channel = tape.add_rowvec(
+        per_channel = tape.add(
             tape.matmul(tape.constant(x), nodes["w_time"]), nodes["b_time"])
         if self.mode == "ci":
             return per_channel
         mixed = tape.matmul(nodes["w_mix"], per_channel)
-        return tape.add_colvec(mixed, nodes["b_mix"])
+        return tape.add(mixed, nodes["b_mix"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         tape = Tape()

@@ -1,6 +1,8 @@
 """Hierarchical latent-query forecaster.
 
-One sample is a channel-major window X (C x T).  The pipeline is:
+One sample is a channel-major window X (C x T); every function here also
+takes a (B, C, T) stack of windows and runs the same graph on all of them
+at once.  The pipeline is:
 
   instance-normalize -> embed rows to width d -> L compression stages, each
   attending a learned bank of latent queries over the previous stage's rows
@@ -27,7 +29,8 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .errors import FormatError, NumericError, ParameterError, ShapeError
-from .linalg import as_matrix, cholesky_logdet, load_matrix_csv, save_matrix_csv
+from .linalg import (as_matrix, as_stack, cholesky_logdet, load_matrix_csv,
+                     save_matrix_csv)
 from .rng import Stream
 
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
@@ -151,21 +154,21 @@ def trainable_names(config: UCastConfig, params: ModelParams) -> list[str]:
 
 @dataclass
 class InstanceStats:
-    mean: np.ndarray          # per channel
-    scale: np.ndarray         # std + guard, per channel
+    mean: np.ndarray          # per channel (per window of a stack)
+    scale: np.ndarray         # std + guard, likewise
 
 
 def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Per-channel standardization over the lookback axis."""
-    x = as_matrix(x, "window")
-    mean = x.mean(axis=1)
-    scale = x.std(axis=1) + INSTANCE_NORM_GUARD
-    return (x - mean[:, None]) / scale[:, None], InstanceStats(mean=mean, scale=scale)
+    x = as_stack(x, "window")
+    mean = x.mean(axis=-1)
+    scale = x.std(axis=-1) + INSTANCE_NORM_GUARD
+    return (x - mean[..., None]) / scale[..., None], InstanceStats(mean=mean, scale=scale)
 
 
 def instance_denormalize(y_norm: np.ndarray, stats: InstanceStats) -> np.ndarray:
-    y_norm = as_matrix(y_norm, "normalized prediction")
-    return y_norm * stats.scale[:, None] + stats.mean[:, None]
+    y_norm = as_stack(y_norm, "normalized prediction")
+    return y_norm * stats.scale[..., None] + stats.mean[..., None]
 
 
 @dataclass
@@ -174,8 +177,8 @@ class ForwardTrace:
     stats: InstanceStats
     h_nodes: list[Node]          # H^0 .. H^L
     u_nodes: list[Node]          # U^L .. U^0
-    attn_down: list[np.ndarray]  # per stage, head-averaged, C_l x C_{l-1}
-    attn_up: list[np.ndarray]    # per stage, head-averaged, C_{l-1} x C_l
+    attn_down: list[np.ndarray]  # per stage, head-averaged, [B x] C_l x C_{l-1}
+    attn_up: list[np.ndarray]    # per stage, head-averaged, [B x] C_{l-1} x C_l
     y_norm: Node
     y: Node
 
@@ -212,24 +215,12 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node, value_rows: Node,
     return tape.matmul(merged, w_o), attn_sum / heads
 
 
-def forward(params: ModelParams, config: UCastConfig, x: np.ndarray,
-            tape: Tape | None = None
-            ) -> tuple[ForwardTrace, dict[str, Node], Tape]:
-    """Full forward pass for one window.
-
-    Returns the trace, the parameter leaf nodes (for gradient collection),
-    and the tape the graph was recorded on.
-    """
-    tape = tape or Tape()
-    nodes = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
-    return forward_from_nodes(nodes, config, x, tape), nodes, tape
-
-
 def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                        x: np.ndarray, tape: Tape) -> ForwardTrace:
-    """Graph construction against already-wrapped parameter leaves."""
-    x = as_matrix(x, "window")
-    if x.shape != (config.channels, config.lookback):
+    """Graph construction against already-wrapped parameter leaves, for one
+    window or a stack of windows."""
+    x = as_stack(x, "window")
+    if x.shape[-2:] != (config.channels, config.lookback):
         raise ShapeError(
             f"window shape {x.shape} vs (C={config.channels}, T={config.lookback})")
     x_norm, stats = instance_normalize(x)
@@ -275,16 +266,6 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                         y_norm=y_norm, y=y)
 
 
-def loss_builder(config: UCastConfig, x: np.ndarray, target: np.ndarray):
-    """BuildLoss closure over one (window, target) pair, for grad_check."""
-
-    def build(tape: Tape, nodes: dict[str, Node]) -> Node:
-        trace = forward_from_nodes(nodes, config, x, tape)
-        return total_loss(tape, trace, target)
-
-    return build
-
-
 def _check_finite(node: Node, stage: str) -> None:
     if not np.all(np.isfinite(node.value)):
         raise NumericError(f"non-finite activations after {stage}")
@@ -300,8 +281,8 @@ def cov_loss(h: np.ndarray, eps: float = DEFAULT_EPS_COV) -> float:
 
 def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:
     """Mean-squared error on the de-normalized scale plus the weighted mean
-    covariance penalty over compression stages."""
-    target = as_matrix(target, "target")
+    covariance penalty over compression stages, averaged over a stack."""
+    target = as_stack(target, "target")
     if target.shape != trace.y.value.shape:
         raise ShapeError(
             f"target shape {target.shape} vs prediction {trace.y.value.shape}")
@@ -372,11 +353,21 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
         manifest = json.loads(manifest_path.read_text())
         config = UCastConfig.from_dict(manifest["config"])
         shapes = manifest["shapes"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        expected = {k: list(v.shape) for k, v in init_params(config).items()}
+        bad = sorted(k for k in expected.keys() | shapes.keys()
+                     if shapes.get(k) != expected.get(k))
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{manifest_path}: malformed checkpoint manifest") from exc
+    if bad:
+        raise FormatError(
+            f"{manifest_path}: parameters missing, unexpected or misshapen "
+            f"for its config: {', '.join(bad)}")
     params: ModelParams = {}
-    for name, shape in shapes.items():
-        arr, _ = load_matrix_csv(directory / _param_filename(name))
+    for name, shape in expected.items():
+        path = directory / _param_filename(name)
+        arr, _ = load_matrix_csv(path)
+        if arr.size != int(np.prod(shape)):
+            raise FormatError(f"{path}: {arr.size} values, expected shape {shape}")
         params[name] = arr.reshape(shape)
     return params, config
 

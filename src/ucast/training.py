@@ -1,17 +1,15 @@
 """Optimization loop shared by the forecaster and the linear baselines.
 
 A trainable model exposes a parameter dict, the subset of names the optimizer
-may update, a per-sample taped loss, and a plain predict.  The loop is
-deterministic for a given seed: batch order comes from a seeded shuffle and
-gradients reduce in sample order even when evaluation fans out across
-threads (capped by UCAST_THREADS).
+may update, a taped loss, and a plain predict.  The loss and predict take a
+(B, C, T) stack of windows or one (C, T) window through the same code, so a
+minibatch is one taped graph and one backward sweep.  The loop is
+deterministic for a given seed: batch order comes from a seeded shuffle.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -33,9 +31,12 @@ class TrainableModel(Protocol):
     def trainable(self) -> list[str]: ...
 
     def build_loss(self, tape: Tape, nodes: dict[str, Node],
-                   x: np.ndarray, y: np.ndarray) -> Node: ...
+                   x: np.ndarray, y: np.ndarray) -> Node:
+        """Scalar loss, the mean over the windows of a (B, C, T) stack x
+        against (B, C, S) targets y, or of one (C, T) window."""
 
-    def predict(self, x: np.ndarray) -> np.ndarray: ...
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forecasts shaped x.shape[:-1] + (S,), for a stack or one window."""
 
 
 @dataclass
@@ -162,6 +163,12 @@ class TrainReport:
     divergence_note: str = ""
     batch_seconds: list[float] = field(default_factory=list)
 
+    def diverge(self, epoch: int, note: str) -> "TrainReport":
+        self.diverged = True
+        self.divergence_note = note
+        self.stopped_epoch = epoch
+        return self
+
     def epoch_dicts(self) -> list[dict]:
         return [{"epoch": e.epoch, "train_loss": e.train_loss,
                  "val_mse": e.val_mse, "grad_norm": e.grad_norm}
@@ -190,6 +197,10 @@ class TrainReport:
 # -- evaluation ------------------------------------------------------------
 
 
+# windows per predict call; bounds evaluation memory on long test sets
+EVAL_WINDOWS = 32
+
+
 def evaluate(model: TrainableModel, windows: WindowBatch) -> tuple[float, float]:
     """Mean squared / absolute error over every (sample, channel, step) cell."""
     if windows.count == 0:
@@ -197,8 +208,9 @@ def evaluate(model: TrainableModel, windows: WindowBatch) -> tuple[float, float]
     sq = 0.0
     ab = 0.0
     cells = 0
-    for i in range(windows.count):
-        err = model.predict(windows.inputs[i]) - windows.targets[i]
+    for lo in range(0, windows.count, EVAL_WINDOWS):
+        hi = lo + EVAL_WINDOWS
+        err = model.predict(windows.inputs[lo:hi]) - windows.targets[lo:hi]
         sq += float(np.sum(err ** 2))
         ab += float(np.sum(np.abs(err)))
         cells += err.size
@@ -208,67 +220,24 @@ def evaluate(model: TrainableModel, windows: WindowBatch) -> tuple[float, float]
 # -- batch gradients -------------------------------------------------------
 
 
-def worker_count() -> int:
-    cap = os.environ.get("UCAST_THREADS", "1")
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        return 1
-
-
-def _sample_gradients(model: TrainableModel, x: np.ndarray, y: np.ndarray
-                      ) -> tuple[float, dict[str, np.ndarray]]:
-    tape = Tape()
-    nodes = {k: tape.leaf(v, requires_grad=True) for k, v in model.params.items()}
-    loss = model.build_loss(tape, nodes, x, y)
-    tape.backward(loss)
-    return float(loss.value), gradients(nodes)
-
-
 def batch_gradients(model: TrainableModel, inputs: np.ndarray,
                     targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and gradients over one batch.
-
-    Per-sample results are folded into the accumulator in sample order (thread
-    fan-out processes worker-sized chunks, still merged in order), so the
-    reduction is deterministic and only one chunk of gradients is ever live.
-    """
-    count = inputs.shape[0]
-    workers = min(worker_count(), count)
-    total_loss = 0.0
-    acc: dict[str, np.ndarray] = {}
-
-    def fold(loss: float, grads: dict[str, np.ndarray]) -> None:
-        nonlocal total_loss
-        total_loss += loss
-        for name, g in grads.items():
-            if name in acc:
-                acc[name] += g
-            else:
-                acc[name] = g
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo in range(0, count, workers):
-                chunk = range(lo, min(lo + workers, count))
-                for loss, grads in pool.map(
-                        lambda i: _sample_gradients(model, inputs[i], targets[i]),
-                        chunk):
-                    fold(loss, grads)
-    else:
-        for i in range(count):
-            fold(*_sample_gradients(model, inputs[i], targets[i]))
-
-    scale = 1.0 / count
-    for name in acc:
-        acc[name] *= scale
-    return total_loss * scale, acc
+    """Mean loss and gradients over one batch, from one taped graph."""
+    tape = Tape()
+    nodes = {k: tape.leaf(v, requires_grad=True) for k, v in model.params.items()}
+    loss = model.build_loss(tape, nodes, inputs, targets)
+    tape.backward(loss)
+    return float(loss.value), gradients(nodes)
 
 
 def _batch_gradients_with_retry(model: TrainableModel, inputs: np.ndarray,
                                 targets: np.ndarray
                                 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Memory-exhaustion policy: halve the batch and merge, floor at one."""
+    """Memory-exhaustion policy: halve the batch and merge, floor at one.
+
+    A batch's graph holds every window's activations at once, so a batch
+    that does not fit is split rather than failing the run.
+    """
     try:
         return batch_gradients(model, inputs, targets)
     except MemoryError:
@@ -298,8 +267,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     parameters before any test evaluation.
 
     Without a validation set the loop runs all epochs and keeps the final
-    parameters.  A non-finite training loss aborts with a diagnostic report
-    instead of raising.
+    parameters.  A non-finite training loss, or a numeric failure after the
+    first step (validation and test evaluation included), aborts with a
+    diverged report instead of raising.
     """
     if train_windows.count == 0:
         raise ParameterError("train: empty training set")
@@ -331,17 +301,11 @@ def train(model: TrainableModel, train_windows: WindowBatch,
                 # the iterates blew up, which is a divergence outcome.
                 if epoch == 1 and batches == 0:
                     raise
-                report.diverged = True
-                report.divergence_note = (
-                    f"numeric failure at epoch {epoch}: {exc}")
-                report.stopped_epoch = epoch
-                return report
+                return report.diverge(
+                    epoch, f"numeric failure at epoch {epoch}: {exc}")
             if not math.isfinite(loss):
-                report.diverged = True
-                report.divergence_note = (
-                    f"non-finite training loss at epoch {epoch}")
-                report.stopped_epoch = epoch
-                return report
+                return report.diverge(
+                    epoch, f"non-finite training loss at epoch {epoch}")
             norm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
             adam_step(model.params, grads, state, config.lr, config.clip_norm)
             if config.precision == "float32":
@@ -354,7 +318,11 @@ def train(model: TrainableModel, train_windows: WindowBatch,
 
         val_mse = None
         if val_windows is not None:
-            val_mse, _ = evaluate(model, val_windows)
+            try:
+                val_mse, _ = evaluate(model, val_windows)
+            except NumericError as exc:
+                return report.diverge(
+                    epoch, f"numeric failure in validation at epoch {epoch}: {exc}")
         report.epochs.append(EpochRecord(
             epoch=epoch, train_loss=epoch_loss / batches, val_mse=val_mse,
             grad_norm=epoch_norm))
@@ -378,5 +346,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         report.best_epoch = report.stopped_epoch
 
     if test_windows is not None:
-        report.test_mse, report.test_mae = evaluate(model, test_windows)
+        try:
+            report.test_mse, report.test_mae = evaluate(model, test_windows)
+        except NumericError as exc:
+            return report.diverge(report.stopped_epoch,
+                                  f"numeric failure in test evaluation: {exc}")
     return report

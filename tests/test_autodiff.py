@@ -33,13 +33,13 @@ class TestPrimitiveAdjoints:
         check(lambda t, n: t.mean(t.square(t.add(n["p0"], n["p1"]))), p)
         check(lambda t, n: t.mean(t.square(t.sub(n["p0"], n["p1"]))), p)
 
-    def test_add_rowvec(self):
+    def test_add_broadcast_row(self):
         p = params_for((4, 3), (1, 3))
-        check(lambda t, n: t.mean(t.square(t.add_rowvec(n["p0"], n["p1"]))), p)
+        check(lambda t, n: t.mean(t.square(t.add(n["p0"], n["p1"]))), p)
 
-    def test_add_colvec(self):
+    def test_add_broadcast_col(self):
         p = params_for((4, 3), (4, 1))
-        check(lambda t, n: t.mean(t.square(t.add_colvec(n["p0"], n["p1"]))), p)
+        check(lambda t, n: t.mean(t.square(t.add(n["p0"], n["p1"]))), p)
 
     def test_scale_square_mean(self):
         p = params_for((5, 2))
@@ -74,6 +74,81 @@ class TestPrimitiveAdjoints:
     def test_cov_penalty(self):
         p = params_for((4, 10), seed=5)
         check(lambda t, n: t.cov_penalty(n["p0"], 1e-3), p)
+
+
+class TestStackedAdjoints:
+    """The same primitives on a (B, rows, cols) stack; 2-D operands are
+    shared by every window of the stack."""
+
+    def test_matmul_shared_right(self):
+        p = params_for((3, 4, 5), (5, 2))
+        check(lambda t, n: t.mean(t.square(t.matmul(n["p0"], n["p1"]))), p)
+
+    def test_matmul_shared_left(self):
+        p = params_for((4, 5), (3, 5, 2))
+        check(lambda t, n: t.mean(t.square(t.matmul(n["p0"], n["p1"]))), p)
+
+    def test_matmul_stack_by_stack_transposed(self):
+        p = params_for((3, 4, 5), (3, 6, 5))
+        check(lambda t, n: t.mean(t.square(
+            t.matmul(n["p0"], t.transpose(n["p1"])))), p)
+
+    def test_add_sub_broadcast(self):
+        p = params_for((3, 4, 2), (1, 2), (4, 1))
+        check(lambda t, n: t.mean(t.square(
+            t.sub(t.add(n["p0"], n["p1"]), n["p2"]))), p)
+
+    def test_softmax_layer_norm(self):
+        p = params_for((2, 4, 8), (8,), (8,), seed=3)
+        check(lambda t, n: t.mean(t.square(t.softmax_rows(
+            t.layer_norm(n["p0"], n["p1"], n["p2"])))), p)
+
+    def test_slice_concat(self):
+        p = params_for((2, 3, 8))
+
+        def build(t, n):
+            left = t.slice_cols(n["p0"], 0, 3)
+            right = t.slice_cols(n["p0"], 3, 8)
+            return t.mean(t.square(t.concat_cols([right, left])))
+
+        check(build, p)
+
+    def test_row_affine_const(self):
+        p = params_for((2, 4, 5))
+        mul = Stream(9, (1,)).uniform(0.5, 2.0, (2, 4))
+        shift = Stream(9, (2,)).normal((2, 4))
+        check(lambda t, n: t.mean(t.square(
+            t.row_affine_const(n["p0"], mul, shift))), p)
+
+    def test_cov_penalty_is_the_window_mean(self):
+        p = params_for((3, 4, 10), seed=5)
+        check(lambda t, n: t.cov_penalty(n["p0"], 1e-3), p)
+        tape = Tape()
+        stacked = tape.cov_penalty(tape.constant(p["p0"]), 1e-3)
+        singles = [float(tape.cov_penalty(tape.constant(h), 1e-3).value)
+                   for h in p["p0"]]
+        assert float(stacked.value) == pytest.approx(np.mean(singles),
+                                                     rel=1e-12)
+
+    def test_mismatched_shapes_rejected(self):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            tape.add(tape.constant(np.ones((2, 3, 4))),
+                     tape.constant(np.ones((3, 3))))
+        with pytest.raises(ShapeError):
+            tape.matmul(tape.constant(np.ones((2, 3, 4))),
+                        tape.constant(np.ones((3, 2))))
+
+
+def test_backward_releases_swept_records():
+    x = Stream(4, (35,)).normal((2, 3, 3))
+    tape = Tape()
+    node = tape.leaf(x, requires_grad=True)
+    hidden = tape.square(node)
+    tape.backward(tape.mean(hidden))
+    assert not tape._records
+    assert hidden.grad is None
+    assert np.allclose(node.grad, 2.0 * x / x.size)
 
 
 def test_cov_penalty_adjoint_closed_form():
@@ -112,7 +187,7 @@ def test_composite_chain():
 
     def build(t, n):
         h = t.softmax_rows(t.matmul(n["p0"], n["p1"]))
-        h = t.add_rowvec(h, n["p2"])
+        h = t.add(h, n["p2"])
         return t.mean(t.square(h))
 
     check(build, p)

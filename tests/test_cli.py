@@ -11,6 +11,8 @@ import pytest
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
                        EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, TABLE_DEFAULTS,
                        main)
+from ucast.errors import NumericError
+from ucast.model import Forecaster
 from ucast.varlab import bayes_risk_sequence, make_var_spec
 
 TINY_TRAIN = ["--d", "8", "--ratio", "2", "--horizon", "2",
@@ -190,6 +192,19 @@ class TestTrainArtifacts:
         assert evaluated["test_mse"] == report["test_mse"]
         capsys.readouterr()
 
+    def test_eval_checkpoint_missing_a_parameter(self, train_run, tmp_path,
+                                                 capsys):
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["shapes"]["f_pred"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        assert "f_pred" in capsys.readouterr().err
+
     def test_eval_channel_mismatch(self, train_run, capsys):
         _, out, _ = train_run
         code = main(["eval", "--checkpoint", str(out / "checkpoint"),
@@ -229,6 +244,16 @@ class TestDivergence:
                      "--lr", "1e9", "--clip-norm", "1e12"])
         assert code == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().out
+
+    def test_numeric_failure_in_evaluation_exits_with_divergence_code(
+            self, monkeypatch, capsys):
+        def unstable(self, x):
+            raise NumericError("non-finite activations after prediction")
+
+        monkeypatch.setattr(Forecaster, "predict", unstable)
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN])
+        assert code == EXIT_DIVERGED
+        assert "validation" in capsys.readouterr().out
 
 
 class TestRisk:

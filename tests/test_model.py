@@ -1,4 +1,6 @@
 """Forecaster architecture invariants and checkpoint round-trips."""
+import json
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,32 @@ class TestCheckpoint:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nothing")
+
+    def _saved_manifest(self, tmp_path):
+        cfg = tiny_config()
+        save_checkpoint(tmp_path / "ckpt", Forecaster(cfg).params, cfg)
+        path = tmp_path / "ckpt" / "manifest.json"
+        return path, json.loads(path.read_text())
+
+    def test_manifest_missing_a_parameter(self, tmp_path):
+        path, manifest = self._saved_manifest(tmp_path)
+        del manifest["shapes"]["f_pred"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="f_pred"):
+            load_checkpoint(path.parent)
+
+    def test_manifest_shape_disagrees_with_config(self, tmp_path):
+        path, manifest = self._saved_manifest(tmp_path)
+        manifest["shapes"]["w_out"] = [4, 8]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="w_out"):
+            load_checkpoint(path.parent)
+
+    def test_parameter_file_of_the_wrong_size(self, tmp_path):
+        path, _ = self._saved_manifest(tmp_path)
+        (path.parent / "w_out.csv").write_text("1.0,2.0\n")
+        with pytest.raises(FormatError, match="w_out"):
+            load_checkpoint(path.parent)
 
     def test_malformed_manifest(self, tmp_path):
         d = tmp_path / "ckpt"

@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from ucast.autodiff import Node, Tape
+from ucast.autodiff import Tape, gradients
+from ucast.baselines import BASELINE_MODES, LinearBaseline
 from ucast.data import WindowBatch
 from ucast.errors import DefinitenessError, NumericError, ParameterError
-from ucast.model import Forecaster
+from ucast.model import VARIANTS, Forecaster, build_variant
 from ucast.rng import Stream
 from ucast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
-                            OptimizerState, TrainConfig, adam_step,
+                            OptimizerState, TrainConfig,
+                            _batch_gradients_with_retry, adam_step,
                             batch_gradients, clip_gradients, evaluate, train)
 
 
@@ -36,7 +38,7 @@ class QuadraticModel:
         return tape.mean(tape.square(diff))
 
     def predict(self, x):
-        return np.zeros((x.shape[0], 2))
+        return np.zeros(x.shape[:-1] + (2,))
 
 
 class FailingModel(QuadraticModel):
@@ -52,6 +54,54 @@ class FailingModel(QuadraticModel):
         if self.calls >= self.fail_at:
             raise DefinitenessError("synthetic factorization failure")
         return super().build_loss(tape, nodes, x, y)
+
+
+class UnstableEvalModel(QuadraticModel):
+    """Trains normally; every prediction hits non-finite activations."""
+
+    def predict(self, x):
+        raise NumericError("non-finite activations after prediction")
+
+
+class MemoryCappedModel:
+    """Wraps a model; its loss raises MemoryError on stacks above `cap`."""
+
+    def __init__(self, model, cap: int):
+        self.model = model
+        self.params = model.params
+        self.cap = cap
+        self.sizes = []
+
+    def trainable(self):
+        return self.model.trainable()
+
+    def build_loss(self, tape, nodes, x, y):
+        self.sizes.append(x.shape[0])
+        if x.shape[0] > self.cap:
+            raise MemoryError("synthetic allocation failure")
+        return self.model.build_loss(tape, nodes, x, y)
+
+    def predict(self, x):
+        return self.model.predict(x)
+
+
+def per_window_reference(model, inputs, targets):
+    """Mean loss and gradients from one 2-D graph per window."""
+    losses, grads = [], []
+    for x, y in zip(inputs, targets):
+        tape = Tape()
+        nodes = {k: tape.leaf(v, requires_grad=True)
+                 for k, v in model.params.items()}
+        loss = model.build_loss(tape, nodes, x, y)
+        tape.backward(loss)
+        losses.append(float(loss.value))
+        grads.append(gradients(nodes))
+    return (float(np.mean(losses)),
+            {k: np.mean([g[k] for g in grads], axis=0) for k in grads[0]})
+
+
+def max_rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
 class TestTrainConfig:
@@ -147,24 +197,54 @@ class TestEarlyStopper:
         assert stopper.update(2, 1.0)
 
 
+PARITY_MODELS = [(variant, heads) for variant in VARIANTS
+                 for heads in (1, 2)] + [(mode, 0) for mode in BASELINE_MODES]
+
+
+def parity_model(kind: str, heads: int):
+    """A model with O(1) weights: at the 0.02-std init the attention maps are
+    near uniform, and the query and key gradients are pure round-off."""
+    if kind in BASELINE_MODES:
+        model = LinearBaseline(kind, channels=6, lookback=8, horizon=4, seed=3)
+    else:
+        model = Forecaster(build_variant(tiny_config(heads=heads), kind))
+    for i, (name, value) in enumerate(model.params.items()):
+        model.params[name] = value + Stream(i, (86,)).normal(value.shape) * 0.5
+    return model
+
+
 class TestBatchGradients:
-    def test_mean_over_samples(self):
-        cfg = tiny_config(alpha=0.0)
-        model = Forecaster(cfg)
-        batch = toy_batch(count=4, c=cfg.channels, t=cfg.lookback,
-                          s=cfg.horizon)
+    @pytest.mark.parametrize("kind, heads", PARITY_MODELS)
+    def test_mean_over_samples(self, kind, heads):
+        # one stacked graph against one 2-D graph per window
+        model = parity_model(kind, heads)
+        batch = toy_batch(count=5, c=6, t=8, s=4)
         loss, grads = batch_gradients(model, batch.inputs, batch.targets)
-        singles = []
-        per_grads = []
-        for i in range(4):
-            li, gi = batch_gradients(model, batch.inputs[i:i + 1],
-                                     batch.targets[i:i + 1])
-            singles.append(li)
-            per_grads.append(gi)
-        assert loss == pytest.approx(np.mean(singles), rel=1e-12)
+        ref_loss, ref_grads = per_window_reference(model, batch.inputs,
+                                                   batch.targets)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert set(grads) == set(ref_grads)
         for name in grads:
-            stack = np.mean([g[name] for g in per_grads], axis=0)
-            assert np.allclose(grads[name], stack, atol=1e-12)
+            assert max_rel_err(grads[name], ref_grads[name]) <= 1e-10, name
+
+    def test_memory_retry_splits_and_matches_unsplit(self):
+        model = parity_model("full", 1)
+        batch = toy_batch(count=7, c=6, t=8, s=4)
+        capped = MemoryCappedModel(model, cap=2)
+        loss, grads = _batch_gradients_with_retry(capped, batch.inputs,
+                                                  batch.targets)
+        want_loss, want_grads = batch_gradients(model, batch.inputs,
+                                                batch.targets)
+        assert capped.sizes[0] == 7 and 1 in capped.sizes
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name in want_grads:
+            assert max_rel_err(grads[name], want_grads[name]) <= 1e-12, name
+
+    def test_memory_retry_gives_up_at_one_window(self):
+        batch = toy_batch(count=3, c=6, t=8, s=4)
+        capped = MemoryCappedModel(Forecaster(tiny_config()), cap=0)
+        with pytest.raises(MemoryError):
+            _batch_gradients_with_retry(capped, batch.inputs, batch.targets)
 
 
 class TestTrainLoop:
@@ -226,9 +306,9 @@ class TestTrainLoop:
             train(model, empty, None, None, TrainConfig())
 
     def test_numeric_failure_after_progress_reports_divergence(self):
-        # loss is evaluated per sample; batch one consumes calls 1..8,
-        # so call 10 fails inside the second batch
-        model = FailingModel(np.ones((2, 2)), fail_at=10)
+        # loss is evaluated once per batch; batch one is call 1, so call 2
+        # fails inside the second batch
+        model = FailingModel(np.ones((2, 2)), fail_at=2)
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5,
                           seed=0)
         report = train(model, toy_batch(), None, None, cfg)
@@ -241,6 +321,23 @@ class TestTrainLoop:
                           seed=0)
         with pytest.raises(DefinitenessError):
             train(model, toy_batch(), None, None, cfg)
+
+    def test_numeric_failure_in_validation_reports_divergence(self):
+        model = UnstableEvalModel(np.ones((2, 2)))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5)
+        report = train(model, toy_batch(), toy_batch(count=6, seed=1), None,
+                       cfg)
+        assert report.diverged and report.stopped_epoch == 1
+        assert "validation" in report.divergence_note
+
+    def test_numeric_failure_in_test_evaluation_reports_divergence(self):
+        model = UnstableEvalModel(np.ones((2, 2)))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=2, patience=5)
+        report = train(model, toy_batch(), None, toy_batch(count=6, seed=1),
+                       cfg)
+        assert report.diverged and report.stopped_epoch == 2
+        assert "test evaluation" in report.divergence_note
+        assert report.test_mse is None
 
     def test_test_metrics_populated(self):
         w_star = Stream(6, (85,)).normal((2, 2))
@@ -271,7 +368,7 @@ class TestEvaluate:
                 raise NotImplementedError
 
             def predict(self, x):
-                return np.zeros((x.shape[0], 2))
+                return np.zeros(x.shape[:-1] + (2,))
 
         batch = WindowBatch(inputs=np.zeros((3, 2, 4)),
                             targets=np.full((3, 2, 2), 2.0),
