@@ -10,28 +10,25 @@ Three kinds of evidence about a trained forecaster are produced here:
   * a wall-clock and score-entry comparison of hierarchical latent-query
     attention against flat all-channel self-attention.
 
-Eigenvalues are computed with an in-package cyclic Jacobi solver so the
-snapshot path has no dependency on an external eigensolver; tests compare it
-against an independent routine.
+Eigenvalues of the symmetric covariance and Gram matrices come from
+numpy's LAPACK-backed `eigvalsh`, reversed to descending order.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tape
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .linalg import as_matrix, cholesky_logdet, save_matrix_csv
 from .model import ForwardTrace, _attention
 from .rng import Stream
 
 DEFAULT_TOL_RATIO = 1e-6
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 BENCH_WARMUPS = 3
 BENCH_REPEATS = 10
 
@@ -39,56 +36,6 @@ LOG_2PIE = float(np.log(2.0 * np.pi * np.e))
 
 
 # -- eigenvalues -----------------------------------------------------------
-
-
-def jacobi_eigenvalues(sigma: np.ndarray, tol: float = JACOBI_TOL,
-                       max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues sorted descending.  The input is symmetrized first;
-    convergence is declared when the off-diagonal Frobenius norm falls to
-    tol times the matrix Frobenius norm.
-    """
-    a = as_matrix(sigma, "jacobi input")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError(f"jacobi needs a square matrix, got {a.shape}")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a[0].copy()
-    scale = float(np.sqrt((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        # cancellation can push the subtraction a hair below zero
-        off_sq = max(float((a * a).sum() - (np.diag(a) ** 2).sum()), 0.0)
-        off = float(np.sqrt(off_sq))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # rotation angle zeroing a[p,q]
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta      # asymptote; theta**2 would overflow
-                else:
-                    t = np.sign(theta) / (abs(theta)
-                                          + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-    vals = np.sort(np.diag(a))[::-1]
-    return np.ascontiguousarray(vals)
 
 
 def effective_rank(h: np.ndarray, tol_ratio: float = DEFAULT_TOL_RATIO) -> int:
@@ -103,8 +50,7 @@ def effective_rank(h: np.ndarray, tol_ratio: float = DEFAULT_TOL_RATIO) -> int:
     h = as_matrix(h, "effective_rank input")
     rows, cols = h.shape
     gram = h @ h.T if rows <= cols else h.T @ h
-    eigs = jacobi_eigenvalues(gram)
-    eigs = np.clip(eigs, 0.0, None)
+    eigs = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
     if eigs[0] == 0.0:
         return 0
     singular = np.sqrt(eigs)
@@ -179,11 +125,10 @@ def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
         d = h.shape[1]
         sigma = (h @ h.T) / float(d)
         ridged = sigma + eps * np.eye(sigma.shape[0])
-        eigs = jacobi_eigenvalues(sigma)
         out.append(SpectrumSnapshot(
             epoch=epoch,
             layer=layer,
-            eigenvalues=eigs,
+            eigenvalues=np.linalg.eigvalsh(sigma)[::-1],
             effective_rank=effective_rank(h),
             entropy_value=entropy(ridged),
             logdet_value=cholesky_logdet(ridged),

@@ -13,22 +13,20 @@ error; 66 missing dataset or checkpoint; 70 training diverged.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines as bl
 from . import analysis
-from .data import (TimeSeriesDataset, WindowBatch, load_csv, save_csv,
-                   sliding_windows, split_chronological, zscore_apply,
-                   zscore_fit)
-from .errors import (DataError, DivergenceError, FormatError, ParameterError,
-                     ShapeError, UcastError)
+from .data import (TimeSeriesDataset, WindowBatch, load_csv, sliding_windows,
+                   split_chronological, zscore_apply, zscore_fit)
+from .errors import (DataError, FormatError, ParameterError, ShapeError,
+                     UcastError)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
-                    init_params, load_checkpoint, save_checkpoint)
+                    load_checkpoint, save_checkpoint)
 from .training import TrainConfig, train
 from .varlab import (VarProcessSpec, bayes_risk_ci_cd, bayes_risk_sequence,
                      make_var_spec, monte_carlo_risks, simulate)
@@ -55,7 +53,6 @@ TABLE_DEFAULTS = {
     "max_epochs": 100,
     "patience": 5,
     "clip_norm": 5.0,
-    "precision": "float64",
     "split": "0.7,0.1,0.2",
     "steps": 400,
     "snapshot_epochs": "",
@@ -127,6 +124,15 @@ def prepare_run_dir(out, force: bool) -> Path:
 
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+    """Header plus one line per row; csv writes floats as their repr, so
+    every value reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # -- dataset resolution ----------------------------------------------------
@@ -211,7 +217,6 @@ def train_config(cfg: dict) -> TrainConfig:
         patience=int(cfg["patience"]),
         clip_norm=float(cfg["clip_norm"]),
         seed=int(cfg["seed"]),
-        precision=str(cfg["precision"]),
     )
 
 
@@ -247,7 +252,6 @@ def _add_model_flags(p: _Parser) -> None:
     p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
-    p.add_argument("--precision", choices=("float64", "float32"), default=None)
 
 
 def build_parser() -> _Parser:
@@ -370,7 +374,12 @@ def _risk_spec(args) -> VarProcessSpec:
         path = Path(args.spec_file)
         if not path.exists():
             raise DataError(f"spec file not found: {path}")
-        return VarProcessSpec.from_dict(json.loads(path.read_text()))
+        try:
+            return VarProcessSpec.from_dict(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers bad JSON or encoding, non-numbers, and the
+            # spec's own ShapeError and ParameterError
+            raise FormatError(f"{path}: malformed VAR spec: {exc!r}") from exc
     if args.structure is None or args.channels is None:
         raise ParameterError(
             "risk needs either --spec-file or --structure with --channels")
@@ -408,14 +417,10 @@ def cmd_risk(args) -> int:
             print(f"{p:4d}  {risk:10.6f}  {est:10.6f}  {delta:9.6f}")
     if args.out:
         out = prepare_run_dir(args.out, args.force)
-        rows = [{"p": p, "risk": repr(float(r)), "gap": repr(float(g))}
-                for p, (r, g) in enumerate(zip(report.risks, report.gaps),
-                                           start=1)]
-        import csv as _csv
-        with open(out / "risks.csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=["p", "risk", "gap"])
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(out / "risks.csv", ["p", "risk", "gap"], [
+            {"p": p, "risk": float(r), "gap": float(g)}
+            for p, (r, g) in enumerate(zip(report.risks, report.gaps),
+                                       start=1)])
         payload = {
             "command": "risk", "seed": args.seed, "target": args.target,
             "var_y": report.var_y, "noise_floor": report.noise_floor,
@@ -542,7 +547,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
+def _train_grid(args, command: str, csv_name: str, columns: list[str],
+                runs: list[tuple[str, dict, dict]], **config_extra
+                ) -> list[dict] | None:
+    """Train one forecaster per run on one dataset, desk profile by default.
+
+    A run is (label, row, overrides): overrides patch the resolved config,
+    label names the run on stdout, and row fills `columns` of its CSV line,
+    which test_mse and test_mae complete.  With --out the CSV and
+    config.json are written.  Returns the rows, or None once a run diverges.
+    """
     cfg = _resolve(args, DESK_DEFAULTS)
     cfg["seed"] = args.seed
     cfg["data"] = args.data
@@ -551,43 +565,40 @@ def cmd_ablate(args) -> int:
                                   int(cfg["seed"]))
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     rows = []
-    for variant in VARIANTS:
-        vcfg = model_config({**cfg, "variant": variant}, ds.n_channels)
-        model = Forecaster(vcfg)
+    for label, row, overrides in runs:
+        model = Forecaster(model_config({**cfg, **overrides}, ds.n_channels))
         report = train(model, train_w, val_w, test_w, train_config(cfg))
         if report.diverged:
-            print(f"{variant}: diverged ({report.divergence_note})")
-            return EXIT_DIVERGED
-        rows.append({"variant": variant, "test_mse": report.test_mse,
+            print(f"{label}: diverged ({report.divergence_note})")
+            return None
+        rows.append({**row, "test_mse": report.test_mse,
                      "test_mae": report.test_mae})
-        print(f"{variant:16s}  test_mse {report.test_mse:.6f}  "
+        print(f"{label:16s}  test_mse {report.test_mse:.6f}  "
               f"test_mae {report.test_mae:.6f}")
-    full_mse = next(r["test_mse"] for r in rows if r["variant"] == "full")
-    violations = []
-    for row in rows:
-        if row["variant"] == "full":
-            continue
-        if full_mse > row["test_mse"] * 1.05:
-            violations.append(
-                f"full {full_mse:.6f} above {row['variant']} "
-                f"{row['test_mse']:.6f} + 5%")
-    for v in violations:
-        print(f"ablation violation: {v}")
     if out is not None:
-        import csv as _csv
-        with open(out / "ablation.csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(
-                fh, fieldnames=["variant", "test_mse", "test_mae"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({"variant": row["variant"],
-                                 "test_mse": repr(row["test_mse"]),
-                                 "test_mae": repr(row["test_mae"])})
+        write_csv(out / csv_name, [*columns, "test_mse", "test_mae"], rows)
         write_json(out / "config.json", {
-            "command": "ablate", "seed": args.seed,
+            "command": command, "seed": args.seed, **config_extra,
             **{k: cfg[k] for k in _CONFIG_KEYS if k in cfg},
             "data": cfg["data"], **provenance,
         })
+    return rows
+
+
+def cmd_ablate(args) -> int:
+    rows = _train_grid(args, "ablate", "ablation.csv", ["variant"], [
+        (variant, {"variant": variant}, {"variant": variant})
+        for variant in VARIANTS])
+    if rows is None:
+        return EXIT_DIVERGED
+    full_mse = next(r["test_mse"] for r in rows if r["variant"] == "full")
+    violations = [
+        f"full {full_mse:.6f} above {row['variant']} "
+        f"{row['test_mse']:.6f} + 5%"
+        for row in rows
+        if row["variant"] != "full" and full_mse > row["test_mse"] * 1.05]
+    for v in violations:
+        print(f"ablation violation: {v}")
     if args.assert_paper and violations:
         return EXIT_ASSERT_FAILED
     return EXIT_OK
@@ -624,50 +635,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, DESK_DEFAULTS)
-    cfg["seed"] = args.seed
-    cfg["data"] = args.data
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     values_text = args.values or SWEEP_RANGES[args.param]
     cast = float if args.param == "alpha" else int
     try:
         values = [cast(v) for v in values_text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --values list '{values_text}'") from exc
-    ds, provenance = resolve_data(cfg["data"], int(cfg["steps"]),
-                                  int(cfg["seed"]))
-    train_w, val_w, test_w = windows_from_dataset(ds, cfg)
-    rows = []
-    for value in values:
-        vcfg = model_config({**cfg, args.param: value}, ds.n_channels)
-        model = Forecaster(vcfg)
-        report = train(model, train_w, val_w, test_w, train_config(cfg))
-        if report.diverged:
-            print(f"{args.param}={value}: diverged "
-                  f"({report.divergence_note})")
-            return EXIT_DIVERGED
-        rows.append({"param": args.param, "value": value,
-                     "test_mse": report.test_mse,
-                     "test_mae": report.test_mae})
-        print(f"{args.param}={value}  test_mse {report.test_mse:.6f}  "
-              f"test_mae {report.test_mae:.6f}")
-    if out is not None:
-        import csv as _csv
-        with open(out / "sweep.csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(
-                fh, fieldnames=["param", "value", "test_mse", "test_mae"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({"param": row["param"], "value": row["value"],
-                                 "test_mse": repr(row["test_mse"]),
-                                 "test_mae": repr(row["test_mae"])})
-        write_json(out / "config.json", {
-            "command": "sweep", "seed": args.seed, "param": args.param,
-            "values": values,
-            **{k: cfg[k] for k in _CONFIG_KEYS if k in cfg},
-            "data": cfg["data"], **provenance,
-        })
-    return EXIT_OK
+    rows = _train_grid(args, "sweep", "sweep.csv", ["param", "value"], [
+        (f"{args.param}={value}", {"param": args.param, "value": value},
+         {args.param: value}) for value in values],
+        param=args.param, values=values)
+    return EXIT_DIVERGED if rows is None else EXIT_OK
 
 
 _COMMANDS = {
@@ -689,9 +667,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA

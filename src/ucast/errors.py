@@ -25,10 +25,6 @@ class ConvergenceError(UcastError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class DivergenceError(UcastError, RuntimeError):
-    """Training produced a non-finite loss."""
-
-
 class ParameterError(UcastError, ValueError):
     """A configuration value is outside its legal range."""
 

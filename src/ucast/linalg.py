@@ -39,14 +39,6 @@ def require_finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a, "matmul lhs")
-    b = as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax; max-shifted so the exponentials cannot overflow."""
     m = as_stack(m, "softmax input")

@@ -48,7 +48,6 @@ class TrainConfig:
     clip_norm: float | None = 5.0
     shuffle: bool = True
     seed: int = 0
-    precision: str = "float64"   # "float32" rounds stored parameters per step
 
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
@@ -57,8 +56,6 @@ class TrainConfig:
             raise ParameterError("patience must be >= 1")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ParameterError("clip_norm must be positive or None")
-        if self.precision not in ("float64", "float32"):
-            raise ParameterError(f"unknown precision '{self.precision}'")
 
 
 # -- Adam ------------------------------------------------------------------
@@ -308,9 +305,6 @@ def train(model: TrainableModel, train_windows: WindowBatch,
                     epoch, f"non-finite training loss at epoch {epoch}")
             norm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
             adam_step(model.params, grads, state, config.lr, config.clip_norm)
-            if config.precision == "float32":
-                for n in names:
-                    model.params[n][...] = model.params[n].astype(np.float32)
             epoch_loss += loss
             epoch_norm = max(epoch_norm, norm)
             batches += 1

@@ -29,7 +29,7 @@ DEFAULT_TARGET_RADIUS = 0.95
 RADIUS_ITERS = 200
 RADIUS_TOL = 1e-8
 STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITERS = 10 ** 5
+STATIONARY_MAX_DOUBLINGS = 64
 
 
 @dataclass
@@ -47,8 +47,10 @@ class VarProcessSpec:
         self.noise_diag = np.asarray(self.noise_diag, dtype=np.float64).reshape(-1)
         if self.noise_diag.shape[0] != self.C:
             raise ShapeError(f"noise_diag length {self.noise_diag.shape[0]} vs C={self.C}")
-        if np.any(self.noise_diag <= 0):
-            raise ParameterError("noise variances must be positive")
+        if not np.all(np.isfinite(self.A)):
+            raise ParameterError("A has non-finite entries")
+        if not np.all((self.noise_diag > 0) & np.isfinite(self.noise_diag)):
+            raise ParameterError("noise variances must be positive and finite")
 
     @property
     def noise_cov(self) -> np.ndarray:
@@ -77,7 +79,9 @@ def spectral_radius(a: np.ndarray, iters: int = RADIUS_ITERS,
 
     The per-step growth ratio is tracked for early exit; the returned value is
     the geometric-mean growth over the completed sweeps, which stays stable
-    even when a complex pair makes single-step ratios oscillate.
+    even when a complex pair makes single-step ratios oscillate.  It is
+    accurate for the nonnegative matrices make_var_spec rescales with it;
+    for a signed A it can read low, so stability is not judged by it.
     """
     a = as_matrix(a, "spectral_radius input")
     if a.shape[0] != a.shape[1]:
@@ -165,25 +169,32 @@ def simulate(spec: VarProcessSpec, steps: int, burn_in: int = 0,
     return out[:, burn_in:]
 
 
-def stationary_covariance(spec: VarProcessSpec, tol: float = STATIONARY_TOL,
-                          max_iters: int = STATIONARY_MAX_ITERS) -> np.ndarray:
-    """Fixed point of S <- A S A^T + Q, iterated to absolute change <= tol."""
-    radius = spectral_radius(spec.A)
+def stationary_covariance(spec: VarProcessSpec) -> np.ndarray:
+    """Stationary covariance S = A S A^T + Q by Smith's doubling iteration.
+
+    After k doublings S holds sum_{j < 2^k} A^j Q (A^j)^T; one step adds the
+    next 2^k terms as A_k S A_k^T and squares A_k = A^(2^k), stopping once
+    that increment falls to STATIONARY_TOL (R. A. Smith, SIAM J. Appl. Math.
+    16(1), 1968).  The series converges only when every eigenvalue of A lies
+    inside the unit circle, checked with numpy's eigenvalues, which unlike
+    the power iteration hold for signed A too.
+    """
+    radius = float(np.abs(np.linalg.eigvals(spec.A)).max())
     if radius >= 1.0:
         raise ParameterError(
             f"stationary covariance needs spectral radius < 1, measured {radius:.4f}")
-    q = spec.noise_cov
-    s = q.copy()
+    s = spec.noise_cov
     a = spec.A
-    for _ in range(max_iters):
-        nxt = a @ s @ a.T + q
-        delta = float(np.abs(nxt - s).max())
-        s = nxt
-        if delta <= tol:
+    for _ in range(STATIONARY_MAX_DOUBLINGS):
+        step = a @ s @ a.T
+        s = s + step
+        if float(np.abs(step).max()) <= STATIONARY_TOL:
             return 0.5 * (s + s.T)
+        a = a @ a
     raise ConvergenceError(
-        f"stationary covariance did not reach {tol} in {max_iters} iterations; "
-        "is the process stable?")
+        f"stationary covariance did not reach {STATIONARY_TOL} in "
+        f"{STATIONARY_MAX_DOUBLINGS} doublings; radius {radius!r} is too "
+        "close to 1")
 
 
 @dataclass

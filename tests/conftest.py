@@ -24,6 +24,14 @@ def random_stable_spec(c: int, seed: int, radius: float = 0.9,
                           seed=seed)
 
 
+def signed_unstable_spec() -> VarProcessSpec:
+    """A signed 6x6 A scaled to a true spectral radius of 1.002, which the
+    power iteration rates at 0.9966, below one."""
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    a *= 1.002 / np.abs(np.linalg.eigvals(a)).max()
+    return VarProcessSpec(structure="custom", C=6, A=a, noise_diag=np.ones(6))
+
+
 def tiny_config(**overrides) -> UCastConfig:
     base = dict(channels=6, lookback=8, horizon=4, d=8, layers=2, ratio=2,
                 heads=1, alpha=0.1, eps_cov=1e-4, seed=0)

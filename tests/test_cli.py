@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import signed_unstable_spec
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
                        EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, TABLE_DEFAULTS,
                        main)
@@ -288,6 +289,30 @@ class TestRisk:
     def test_needs_structure_or_file(self, capsys):
         assert main(["risk"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        b'{"structure": "custom", "C": 2, "A": [[0.5',          # truncated
+        b'{"structure": "custom", "C": 2, "noise_diag": [1, 1]}',  # no A
+        b'[["custom", 2]]',                                      # not an object
+        b'{"structure": "custom", "C": "two", "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1]}',                               # C not a number
+        b'{"structure": "custom", "C": 2, "A": [[0.5, 0], [0]],'
+        b' "noise_diag": [1, 1]}',                               # ragged A
+        b'{"structure": "custom", "C": 2, "A": [[NaN, 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1]}',                               # non-finite A
+        b'\xff\xfe{}',                                           # not UTF-8
+    ])
+    def test_malformed_spec_file_is_usage_error(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(text)
+        assert main(["risk", "--spec-file", str(spec_path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_signed_unstable_spec_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(signed_unstable_spec().to_dict()))
+        assert main(["risk", "--spec-file", str(spec_path)]) == EXIT_USAGE
+        assert "spectral radius < 1" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_spd
 from ucast.errors import DefinitenessError, FormatError, NumericError, ShapeError
 from ucast.linalg import (as_matrix, cholesky_logdet, layer_norm,
-                          load_matrix_csv, matmul, require_finite,
+                          load_matrix_csv, require_finite,
                           save_matrix_csv, softmax_rows)
 from ucast.rng import Stream
 
@@ -33,14 +33,6 @@ class TestAsMatrix:
 def test_require_finite_flags_nan():
     with pytest.raises(NumericError):
         require_finite(np.array([1.0, np.nan]), "x")
-
-
-def test_matmul_matches_numpy_and_checks_dims():
-    a = Stream(0, (1,)).normal((3, 4))
-    b = Stream(0, (2,)).normal((4, 5))
-    assert np.allclose(matmul(a, b), a @ b)
-    with pytest.raises(ShapeError):
-        matmul(a, a)
 
 
 class TestSoftmax:

@@ -112,8 +112,6 @@ class TestTrainConfig:
             TrainConfig(patience=0)
         with pytest.raises(ParameterError):
             TrainConfig(clip_norm=-1.0)
-        with pytest.raises(ParameterError):
-            TrainConfig(precision="float16")
 
 
 class TestAdam:

@@ -2,13 +2,13 @@
 
 The stationary covariance check uses the vectorized fixed point
 vec(S) = (I - A kron A)^{-1} vec(Q), a different algorithm from the
-package's iterated recursion.
+package's doubling iteration.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_stable_spec
+from conftest import random_stable_spec, signed_unstable_spec
 from ucast.errors import ParameterError, ShapeError
 from ucast.varlab import (DEFAULT_TARGET_RADIUS, VarProcessSpec,
                           bayes_risk_ci_cd, bayes_risk_sequence,
@@ -116,6 +116,15 @@ class TestSpecValidation:
             VarProcessSpec(structure="custom", C=2, A=np.zeros((2, 2)),
                            noise_diag=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("a,noise", [
+        ([[np.nan, 0.0], [0.0, 0.5]], [1.0, 1.0]),
+        ([[0.5, 0.0], [0.0, 0.5]], [1.0, np.nan]),
+        ([[0.5, 0.0], [0.0, 0.5]], [1.0, np.inf])])
+    def test_non_finite_rejected(self, a, noise):
+        with pytest.raises(ParameterError):
+            VarProcessSpec(structure="custom", C=2, A=np.array(a),
+                           noise_diag=np.array(noise))
+
     def test_dict_round_trip(self):
         spec = make_var_spec("anti_self", 4, seed=9)
         back = VarProcessSpec.from_dict(spec.to_dict())
@@ -159,9 +168,12 @@ class TestSimulate:
 
 
 class TestStationaryCovariance:
-    @pytest.mark.parametrize("c,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
-    def test_matches_kronecker_solve(self, c, seed):
-        spec = random_stable_spec(c, seed)
+    @pytest.mark.parametrize("c,seed,radius", [
+        pytest.param(2, 0, 0.9, id="2-0"), pytest.param(3, 1, 0.9, id="3-1"),
+        pytest.param(5, 2, 0.9, id="5-2"), pytest.param(8, 3, 0.9, id="8-3"),
+        pytest.param(8, 3, 0.999, id="8-3-near-unit")])
+    def test_matches_kronecker_solve(self, c, seed, radius):
+        spec = random_stable_spec(c, seed, radius=radius)
         s = stationary_covariance(spec)
         ref = kron_stationary(spec.A, spec.noise_cov)
         assert np.allclose(s, ref, rtol=1e-8, atol=1e-10)
@@ -185,6 +197,13 @@ class TestStationaryCovariance:
     def test_explosive_rejected(self):
         spec = make_var_spec("anti_self", 4, target_radius=1.05)
         with pytest.raises(ParameterError):
+            stationary_covariance(spec)
+
+    def test_signed_explosive_rejected(self):
+        # the power iteration misses this one; the eigenvalue check does not
+        spec = signed_unstable_spec()
+        assert spectral_radius(spec.A) < 1.0
+        with pytest.raises(ParameterError, match="1.0020"):
             stationary_covariance(spec)
 
 
