@@ -215,9 +215,9 @@ def _single_thread_limit():
         return contextlib.nullcontext()
 
 
-def _time_attention(channels: int, d: int, queries: int, heads: int,
-                    repeats: int, seed: int) -> float:
-    """Median seconds for one taped attention forward + backward pass."""
+def _attention_pass(channels: int, d: int, queries: int, heads: int,
+                    seed: int):
+    """A callable timing one taped attention forward + backward pass."""
     stream = Stream(seed, (509, channels, queries))
     h_val = stream.normal_matrix(channels, d, 1.0)
     q_val = stream.normal_matrix(queries, d, 1.0)
@@ -237,11 +237,7 @@ def _time_attention(channels: int, d: int, queries: int, heads: int,
         tape.backward(loss)
         return time.perf_counter() - start
 
-    with _single_thread_limit():
-        for _ in range(BENCH_WARMUPS):
-            run_once()
-        times = [run_once() for _ in range(max(repeats, BENCH_REPEATS))]
-    return float(np.median(times))
+    return run_once
 
 
 def bench_attention(channel_list, d: int = 64, ratio: int = 16,
@@ -252,25 +248,31 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
     The hierarchical mechanism reads all C channels through C/ratio latent
     queries; the flat baseline performs full C x C self-attention with the
     same width and head count.  Timings are medians over repeated taped
-    forward+backward passes with warm-ups discarded; score-entry counts are
-    computed, not measured.
+    forward+backward passes with warm-ups discarded; the two mechanisms'
+    timed passes alternate, so a slow spell on a shared host lands on both
+    and their ratio holds.  Score-entry counts are computed, not measured.
     """
     samples = []
     for channels in channel_list:
         if channels < 1:
             raise ParameterError(f"channel count must be positive, got {channels}")
         latent = max(1, channels // ratio)
-        t_h = _time_attention(channels, d, latent, heads, repeats, seed)
-        samples.append(CostSample(channels=channels, d=d, ratio=ratio,
-                                  heads=heads, mechanism="HLQN", seconds=t_h,
-                                  score_entries=score_entries(channels, ratio,
-                                                              "HLQN")))
-        t_f = _time_attention(channels, d, channels, heads, repeats, seed)
-        samples.append(CostSample(channels=channels, d=d, ratio=ratio,
-                                  heads=heads, mechanism="FlatAttention",
-                                  seconds=t_f,
-                                  score_entries=score_entries(channels, ratio,
-                                                              "FlatAttention")))
+        passes = {"HLQN": _attention_pass(channels, d, latent, heads, seed),
+                  "FlatAttention": _attention_pass(channels, d, channels,
+                                                   heads, seed)}
+        times = {mechanism: [] for mechanism in passes}
+        with _single_thread_limit():
+            for run_once in passes.values():
+                for _ in range(BENCH_WARMUPS):
+                    run_once()
+            for _ in range(max(repeats, BENCH_REPEATS)):
+                for mechanism, run_once in passes.items():
+                    times[mechanism].append(run_once())
+        for mechanism, seconds in times.items():
+            samples.append(CostSample(
+                channels=channels, d=d, ratio=ratio, heads=heads,
+                mechanism=mechanism, seconds=float(np.median(seconds)),
+                score_entries=score_entries(channels, ratio, mechanism)))
     return samples
 
 

@@ -15,11 +15,13 @@ predictor collapses to the noise floor sigma_tt.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, ShapeError
+from .errors import (ConvergenceError, DefinitenessError, ParameterError,
+                     ShapeError)
 from .linalg import as_matrix
 from .rng import Stream
 
@@ -30,6 +32,9 @@ RADIUS_ITERS = 200
 RADIUS_TOL = 1e-8
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_DOUBLINGS = 64
+# sample rows scored per product in monte_carlo_risks: the residuals are
+# held one MC_BLOCK_ROWS x len(subset_sizes) block at a time, never n x C
+MC_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -41,6 +46,8 @@ class VarProcessSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.structure not in STRUCTURES:
+            raise ParameterError(f"unknown structure {self.structure!r}")
         self.A = as_matrix(self.A, "A")
         if self.A.shape != (self.C, self.C):
             raise ShapeError(f"A shape {self.A.shape} vs C={self.C}")
@@ -67,10 +74,20 @@ class VarProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarProcessSpec":
-        return cls(structure=d["structure"], C=int(d["C"]),
+        return cls(structure=d["structure"], C=_integral("C", d["C"]),
                    A=np.asarray(d["A"], dtype=np.float64),
                    noise_diag=np.asarray(d["noise_diag"], dtype=np.float64),
-                   seed=int(d.get("seed", 0)))
+                   seed=_integral("seed", d.get("seed", 0)))
+
+
+def _integral(name: str, value) -> int:
+    """An integer read from a spec dict; 2 and 2.0 are accepted, 2.7, "2"
+    and true are not."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def spectral_radius(a: np.ndarray, iters: int = RADIUS_ITERS,
@@ -245,25 +262,38 @@ class RiskReport:
         self.gaps = self.risks[0] - self.risks
 
 
-def bayes_risk_sequence(spec: VarProcessSpec, target: int = 0) -> RiskReport:
-    """Bayes risk of predicting channel `target` from the first p channels,
-    for p = 1..C, under the stationary law.
+def _whitened(spec: VarProcessSpec, target: int
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y).
 
-    R_p = Var(Y) - c_p S_p^{-1} c_p^T, Y = (A z)_target + eps_target.
-    The sequence is non-increasing and terminates at the noise floor.
+    S >= Q = diag(noise) > 0, so a failed factorization means S itself is
+    wrong; it is reported as DefinitenessError, not numpy's LinAlgError.
     """
     if not (0 <= target < spec.C):
         raise ParameterError(f"target {target} out of range for C={spec.C}")
     s = stationary_covariance(spec)
-    a = spec.A
-    c_full = (a @ s)[target]
-    var_y = float(a[target] @ s @ a[target] + spec.noise_diag[target])
-    risks = np.empty(spec.C, dtype=np.float64)
-    for p in range(1, spec.C + 1):
-        coeffs = np.linalg.solve(s[:p, :p], c_full[:p])
-        risks[p - 1] = var_y - float(c_full[:p] @ coeffs)
-    return RiskReport(spec=spec, target=target, risks=risks, var_y=var_y,
-                      noise_floor=float(spec.noise_diag[target]))
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError(
+            f"stationary covariance is not positive definite: {exc}") from exc
+    a_t = spec.A[target]
+    var_y = float(a_t @ s @ a_t + spec.noise_diag[target])
+    return chol, np.linalg.solve(chol, a_t @ s), var_y
+
+
+def bayes_risk_sequence(spec: VarProcessSpec, target: int = 0) -> RiskReport:
+    """Bayes risk of predicting channel `target` from the first p channels,
+    for p = 1..C, under the stationary law.
+
+    R_p = Var(Y) - c_p S_p^{-1} c_p^T, Y = (A z)_target + eps_target.  The
+    leading p x p block of L factors S_p, so with w = L^{-1} c every
+    R_p = Var(Y) - sum_{i<=p} w_i^2: non-increasing by construction, and
+    terminating at the noise floor.
+    """
+    _, w, var_y = _whitened(spec, target)
+    return RiskReport(spec=spec, target=target, risks=var_y - np.cumsum(w * w),
+                      var_y=var_y, noise_floor=float(spec.noise_diag[target]))
 
 
 def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
@@ -272,24 +302,31 @@ def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
     """Sampled risk of the conditional-mean predictor that sees the first p
     channels, for each p in subset_sizes (default: 1..C).
 
-    Draws (z_t, z_{t+1}) pairs from the stationary law and scores the exact
-    Gaussian conditional mean, independently of the closed-form algebra.
+    Draws (z_t, z_{t+1}) pairs from the stationary law, z_t = L g with
+    g ~ N(0, I), and scores the Gaussian conditional-mean coefficients
+    S_p^{-1} c_p against Y = (A z_t)_target + eps.  Column p of the
+    coefficient matrix is the first p columns of the upper-triangular L^{-T}
+    times w_1..p, so every residual y - z_t[:p] . coeffs_p is
+    g . L^T (A_target - coeffs_p) + eps, and all subset sizes are scored by
+    one product per row block.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     sizes = list(range(1, spec.C + 1)) if subset_sizes is None else subset_sizes
-    s = stationary_covariance(spec)
-    chol = np.linalg.cholesky(s + 1e-15 * np.eye(spec.C))
-    stream = Stream(seed, (_structure_id(spec.structure), spec.C, 13))
-    z_t = stream.normal((n_samples, spec.C)) @ chol.T
-    eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
-    y = z_t @ spec.A[target] + eps
-    c_full = (spec.A @ s)[target]
-    out = {}
     for p in sizes:
         if not (1 <= p <= spec.C):
             raise ParameterError(f"subset size {p} out of range")
-        coeffs = np.linalg.solve(s[:p, :p], c_full[:p])
-        pred = z_t[:, :p] @ coeffs
-        out[p] = float(np.mean((y - pred) ** 2))
-    return out
+    chol, w, _ = _whitened(spec, target)
+    stream = Stream(seed, (_structure_id(spec.structure), spec.C, 13))
+    draws = stream.normal((n_samples, spec.C))
+    eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
+    # formed after the draws, whose Box-Muller temporaries set the peak
+    coeffs = np.cumsum(np.linalg.inv(chol).T * w, axis=1)
+    weights = chol.T @ (spec.A[target][:, None]
+                        - coeffs[:, np.asarray(sizes) - 1])
+    sq_sum = np.zeros(len(sizes))
+    for lo in range(0, n_samples, MC_BLOCK_ROWS):
+        resid = draws[lo:lo + MC_BLOCK_ROWS] @ weights
+        resid += eps[lo:lo + MC_BLOCK_ROWS, None]
+        sq_sum += np.einsum("ij,ij->j", resid, resid)
+    return {p: float(v / n_samples) for p, v in zip(sizes, sq_sum)}

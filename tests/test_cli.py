@@ -301,12 +301,18 @@ class TestRisk:
         b'{"structure": "custom", "C": 2, "A": [[NaN, 0], [0, 0.5]],'
         b' "noise_diag": [1, 1]}',                               # non-finite A
         b'\xff\xfe{}',                                           # not UTF-8
+        b'{"structure": "bogus", "C": 2, "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1]}',                               # unknown structure
+        b'{"structure": "custom", "C": 2.7, "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1]}',                               # C not integral
     ])
     def test_malformed_spec_file_is_usage_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(text)
         assert main(["risk", "--spec-file", str(spec_path)]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_signed_unstable_spec_is_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -2,24 +2,57 @@
 
 The stationary covariance check uses the vectorized fixed point
 vec(S) = (I - A kron A)^{-1} vec(Q), a different algorithm from the
-package's doubling iteration.
+package's doubling iteration.  The risk oracles, which work from one
+Cholesky factor, are checked against one linear solve per subset size.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_stable_spec, signed_unstable_spec
-from ucast.errors import ParameterError, ShapeError
-from ucast.varlab import (DEFAULT_TARGET_RADIUS, VarProcessSpec,
-                          bayes_risk_ci_cd, bayes_risk_sequence,
-                          make_var_spec, monte_carlo_risks, simulate,
-                          spectral_radius, stationary_covariance)
+from ucast import varlab
+from ucast.errors import DefinitenessError, ParameterError, ShapeError
+from ucast.rng import Stream
+from ucast.varlab import (DEFAULT_TARGET_RADIUS, MC_BLOCK_ROWS, STRUCTURES,
+                          VarProcessSpec, bayes_risk_ci_cd,
+                          bayes_risk_sequence, make_var_spec,
+                          monte_carlo_risks, simulate, spectral_radius,
+                          stationary_covariance)
 
 
 def kron_stationary(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     vec_s = np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.reshape(-1))
     return vec_s.reshape(n, n)
+
+
+def per_p_coefficients(spec: VarProcessSpec, target: int):
+    """S, c = (A S)_target, and S_p^{-1} c_p for p = 1..C, one solve per p."""
+    s = stationary_covariance(spec)
+    c_full = (spec.A @ s)[target]
+    return s, c_full, [np.linalg.solve(s[:p, :p], c_full[:p])
+                       for p in range(1, spec.C + 1)]
+
+
+def per_p_risks(spec: VarProcessSpec, target: int = 0) -> np.ndarray:
+    """R_p = Var(Y) - c_p S_p^{-1} c_p^T with one solve per p."""
+    s, c_full, coeffs = per_p_coefficients(spec, target)
+    a_t = spec.A[target]
+    var_y = float(a_t @ s @ a_t + spec.noise_diag[target])
+    return np.array([var_y - float(c_full[:len(k)] @ k) for k in coeffs])
+
+
+def per_p_monte_carlo(spec: VarProcessSpec, n_samples: int, seed: int,
+                      target: int, sizes) -> dict[int, float]:
+    """The sampled risks from the same draws, scoring one p at a time on the
+    explicit sample z_t = g L^T."""
+    s, _, coeffs = per_p_coefficients(spec, target)
+    stream = Stream(seed, (STRUCTURES.index(spec.structure), spec.C, 13))
+    z_t = stream.normal((n_samples, spec.C)) @ np.linalg.cholesky(s).T
+    eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
+    y = z_t @ spec.A[target] + eps
+    return {p: float(np.mean((y - z_t[:, :p] @ coeffs[p - 1]) ** 2))
+            for p in sizes}
 
 
 class TestSpectralRadius:
@@ -124,6 +157,26 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             VarProcessSpec(structure="custom", C=2, A=np.array(a),
                            noise_diag=np.array(noise))
+
+    def test_unknown_structure_rejected(self):
+        with pytest.raises(ParameterError, match="bogus"):
+            VarProcessSpec(structure="bogus", C=2, A=np.zeros((2, 2)),
+                           noise_diag=np.ones(2))
+
+    @pytest.mark.parametrize("key,value", [
+        ("C", 2.7), ("C", "2"), ("C", True), ("seed", 1.5), ("seed", None)])
+    def test_from_dict_rejects_non_integral(self, key, value):
+        d = make_var_spec("anti_self", 2, seed=3).to_dict()
+        d[key] = value
+        with pytest.raises(ParameterError, match=key):
+            VarProcessSpec.from_dict(d)
+
+    def test_from_dict_accepts_integral_float(self):
+        d = make_var_spec("anti_self", 2, seed=3).to_dict()
+        d["C"], d["seed"] = 2.0, 3.0
+        spec = VarProcessSpec.from_dict(d)
+        assert (spec.C, spec.seed) == (2, 3)
+        assert type(spec.C) is int and type(spec.seed) is int
 
     def test_dict_round_trip(self):
         spec = make_var_spec("anti_self", 4, seed=9)
@@ -261,6 +314,21 @@ class TestRiskSequence:
         assert report.var_y == pytest.approx(var_y, rel=1e-9)
         assert risks[0] <= var_y + 1e-9
 
+    @given(seed=st.integers(0, 10_000), c=st.integers(2, 16),
+           target=st.integers(0, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_p_solves(self, seed, c, target):
+        spec = random_stable_spec(c, seed)
+        target %= c
+        report = bayes_risk_sequence(spec, target=target)
+        risks = report.risks
+        ref = per_p_risks(spec, target=target)
+        # both forms subtract from Var(Y), so each carries round-off of
+        # order eps * Var(Y); a risk far below Var(Y) inherits it relatively
+        assert np.max(np.abs(risks - ref)) <= 1e-12 * report.var_y
+        # the cumulative form makes monotonicity exact, not approximate
+        assert np.all(np.diff(risks) <= 0)
+
     def test_zero_coefficient_channel_is_inert(self):
         spec = random_stable_spec(4, 33)
         padded_a = np.zeros((5, 5))
@@ -291,9 +359,46 @@ class TestMonteCarlo:
         mc = monte_carlo_risks(spec, n_samples=1000, subset_sizes=[2, 4])
         assert set(mc) == {2, 4}
 
+    @pytest.mark.parametrize("n_samples",
+                             [1, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("sizes", [None, [5, 2, 1]])
+    def test_blocked_matches_per_p_reference(self, n_samples, sizes):
+        spec = random_stable_spec(5, 17)
+        got = monte_carlo_risks(spec, n_samples=n_samples, seed=4, target=1,
+                                subset_sizes=sizes)
+        want = per_p_monte_carlo(spec, n_samples, seed=4, target=1,
+                                 sizes=sizes or range(1, 6))
+        assert list(got) == list(want)
+        for p in want:
+            assert got[p] == pytest.approx(want[p], rel=1e-12)
+
     def test_validation(self):
         spec = random_stable_spec(2, 0)
         with pytest.raises(ParameterError):
             monte_carlo_risks(spec, n_samples=0)
         with pytest.raises(ParameterError):
             monte_carlo_risks(spec, n_samples=10, subset_sizes=[3])
+        for target in (-1, 2):
+            with pytest.raises(ParameterError, match="target"):
+                monte_carlo_risks(spec, n_samples=10, target=target)
+
+    def test_subset_sizes_checked_before_sampling(self, monkeypatch):
+        spec = random_stable_spec(2, 0)
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("sampled before validating subset sizes")
+        monkeypatch.setattr(varlab, "Stream", no_stream)
+        with pytest.raises(ParameterError, match="subset size 3"):
+            monte_carlo_risks(spec, n_samples=10, subset_sizes=[3])
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda spec: bayes_risk_sequence(spec),
+    lambda spec: monte_carlo_risks(spec, n_samples=10)],
+    ids=["closed_form", "monte_carlo"])
+def test_indefinite_covariance_is_definiteness_error(monkeypatch, oracle):
+    spec = random_stable_spec(2, 0)
+    monkeypatch.setattr(varlab, "stationary_covariance",
+                        lambda spec: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(DefinitenessError):
+        oracle(spec)
