@@ -247,11 +247,14 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
 
     The hierarchical mechanism reads all C channels through C/ratio latent
     queries; the flat baseline performs full C x C self-attention with the
-    same width and head count.  Timings are medians over repeated taped
-    forward+backward passes with warm-ups discarded; the two mechanisms'
-    timed passes alternate, so a slow spell on a shared host lands on both
-    and their ratio holds.  Score-entry counts are computed, not measured.
+    same width and head count.  Timings are medians over exactly `repeats`
+    taped forward+backward passes per mechanism, after discarded warm-ups;
+    the two mechanisms' timed passes alternate, so a slow spell on a shared
+    host lands on both and their ratio holds.  Score-entry counts are
+    computed, not measured.
     """
+    if repeats < 1:
+        raise ParameterError(f"repeats must be >= 1, got {repeats}")
     samples = []
     for channels in channel_list:
         if channels < 1:
@@ -265,7 +268,7 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
             for run_once in passes.values():
                 for _ in range(BENCH_WARMUPS):
                     run_once()
-            for _ in range(max(repeats, BENCH_REPEATS)):
+            for _ in range(repeats):
                 for mechanism, run_once in passes.items():
                     times[mechanism].append(run_once())
         for mechanism, seconds in times.items():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DefinitenessError, FormatError, NumericError, ShapeError
+from .errors import DefinitenessError, NumericError, ShapeError
 
 SYMMETRY_TOL = 1e-8
 
@@ -93,58 +93,10 @@ def cholesky_logdet(s: np.ndarray) -> float | np.ndarray:
     return float(logdets) if s.ndim == 2 else logdets
 
 
-def save_matrix_csv(path, m: np.ndarray, header: list[str] | None = None) -> None:
+def save_matrix_csv(path, m: np.ndarray) -> None:
     """Write a matrix row-major; repr-formatted floats round-trip exactly."""
     m = as_matrix(m, "save_matrix_csv input")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            if len(header) != m.shape[1]:
-                raise ShapeError(
-                    f"save_matrix_csv: header length {len(header)} vs "
-                    f"{m.shape[1]} columns")
-            writer.writerow(header)
         for row in m:
             writer.writerow([repr(float(x)) for x in row])
-
-
-def load_matrix_csv(path, has_header: bool | None = None
-                    ) -> tuple[np.ndarray, list[str] | None]:
-    """Read a matrix written by save_matrix_csv.
-
-    has_header=None auto-detects: a first row with any token that does not
-    parse as a float is treated as a header.
-    """
-    path = Path(path)
-    with path.open("r", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty matrix file")
-
-    def parses(tokens: list[str]) -> bool:
-        try:
-            for tok in tokens:
-                float(tok)
-        except ValueError:
-            return False
-        return True
-
-    header: list[str] | None = None
-    if has_header is True or (has_header is None and not parses(rows[0])):
-        header = [tok.strip() for tok in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise FormatError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: ragged row {i + 1} has {len(row)} fields, expected "
-                f"{width}")
-        try:
-            data[i] = [float(tok) for tok in row]
-        except ValueError as exc:
-            raise FormatError(f"{path}: unparseable value in row {i + 1}") from exc
-    return data, header

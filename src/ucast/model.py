@@ -29,8 +29,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .errors import FormatError, NumericError, ParameterError, ShapeError
-from .linalg import (as_matrix, as_stack, cholesky_logdet, load_matrix_csv,
-                     save_matrix_csv)
+from .linalg import as_matrix, as_stack, cholesky_logdet
 from .rng import Stream
 
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
@@ -179,7 +178,6 @@ class ForwardTrace:
     u_nodes: list[Node]          # U^L .. U^0
     attn_down: list[np.ndarray]  # per stage, head-averaged, [B x] C_l x C_{l-1}
     attn_up: list[np.ndarray]    # per stage, head-averaged, [B x] C_{l-1} x C_l
-    y_norm: Node
     y: Node
 
     @property
@@ -263,7 +261,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
     _check_finite(y, "prediction")
     return ForwardTrace(config=config, stats=stats, h_nodes=h_nodes,
                         u_nodes=u_nodes, attn_down=attn_down, attn_up=attn_up,
-                        y_norm=y_norm, y=y)
+                        y=y)
 
 
 def _check_finite(node: Node, stage: str) -> None:
@@ -326,31 +324,40 @@ class Forecaster:
 # -- checkpoints -----------------------------------------------------------
 
 CHECKPOINT_MANIFEST = "manifest.json"
+CHECKPOINT_FORMAT = "ucast-checkpoint-v2"
 
 
 def save_checkpoint(directory, params: ModelParams, config: UCastConfig) -> None:
-    """One CSV matrix per parameter plus a JSON manifest."""
+    """One `<name>.npy` file per parameter plus a JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     shapes = {}
     for name, value in params.items():
         arr = np.asarray(value, dtype=np.float64)
         shapes[name] = list(arr.shape)
-        save_matrix_csv(directory / _param_filename(name),
-                        arr.reshape(1, -1) if arr.ndim == 1 else arr)
-    manifest = {"format": "ucast-checkpoint-v1", "config": config.to_dict(),
+        np.save(directory / f"{name}.npy", arr)
+    manifest = {"format": CHECKPOINT_FORMAT, "config": config.to_dict(),
                 "shapes": shapes}
     (directory / CHECKPOINT_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
+    """Read a checkpoint written by save_checkpoint.
+
+    Every parameter file must be a float64 `.npy` of exactly the shape the
+    manifest's config gives it; anything else is a FormatError.
+    """
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_MANIFEST
     if not manifest_path.exists():
         raise FileNotFoundError(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
+        if manifest["format"] != CHECKPOINT_FORMAT:
+            raise FormatError(
+                f"{manifest_path}: format {manifest['format']!r}, expected "
+                f"{CHECKPOINT_FORMAT!r}")
         config = UCastConfig.from_dict(manifest["config"])
         shapes = manifest["shapes"]
         expected = {k: list(v.shape) for k, v in init_params(config).items()}
@@ -364,13 +371,14 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
             f"for its config: {', '.join(bad)}")
     params: ModelParams = {}
     for name, shape in expected.items():
-        path = directory / _param_filename(name)
-        arr, _ = load_matrix_csv(path)
-        if arr.size != int(np.prod(shape)):
-            raise FormatError(f"{path}: {arr.size} values, expected shape {shape}")
-        params[name] = arr.reshape(shape)
+        path = directory / f"{name}.npy"
+        try:
+            arr = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise FormatError(f"{path}: unreadable parameter {name}: {exc}") from exc
+        # a zip archive under the .npy name loads as an NpzFile: no dtype
+        if getattr(arr, "dtype", None) != np.float64 or list(arr.shape) != shape:
+            raise FormatError(
+                f"{path}: parameter {name} is not float64 of shape {shape}")
+        params[name] = arr
     return params, config
-
-
-def _param_filename(name: str) -> str:
-    return name.replace(".", "_") + ".csv"

@@ -46,7 +46,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     clip_norm: float | None = 5.0
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -281,8 +280,7 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         epoch_callback(0, model)
 
     for epoch in range(1, config.max_epochs + 1):
-        order = (shuffle_stream.permutation(train_windows.count)
-                 if config.shuffle else np.arange(train_windows.count))
+        order = shuffle_stream.permutation(train_windows.count)
         epoch_loss = 0.0
         epoch_norm = 0.0
         batches = 0

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, tiny_config
+from ucast import analysis
 from ucast.analysis import (DEFAULT_TOL_RATIO, LOG_2PIE, MECHANISMS,
                             CostSample, bench_attention, effective_rank,
                             entropy, export_snapshots, offdiagonal_mass,
                             score_entries, snapshot, write_artifact_index,
                             write_bench_csv)
 from ucast.errors import DefinitenessError, ParameterError
-from ucast.linalg import cholesky_logdet, load_matrix_csv
+from ucast.linalg import cholesky_logdet
 from ucast.model import Forecaster
 from ucast.rng import Stream
 from ucast.training import TrainConfig, train
@@ -151,7 +152,8 @@ class TestSnapshots:
         export_snapshots(tmp_path, trace, epoch=0)
         h = trace.h_nodes[1].value
         sigma = (h @ h.T) / float(h.shape[1])
-        back, _ = load_matrix_csv(tmp_path / "cov_epoch0_layer1.csv")
+        back = np.loadtxt(tmp_path / "cov_epoch0_layer1.csv", delimiter=",",
+                          ndmin=2)
         assert np.array_equal(back, sigma)
 
     def test_artifact_index_round_trip(self, tmp_path):
@@ -211,6 +213,28 @@ class TestCostModel:
             assert s.seconds > 0.0
             assert s.score_entries == score_entries(s.channels, s.ratio,
                                                     s.mechanism)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_bench_runs_exactly_repeats_timed_passes(self, monkeypatch,
+                                                     repeats):
+        calls = []
+
+        def counting_pass(channels, d, queries, heads, seed):
+            def run_once():
+                calls.append(queries)
+                return 1.0
+            return run_once
+
+        monkeypatch.setattr(analysis, "_attention_pass", counting_pass)
+        bench_attention([32], d=8, ratio=4, repeats=repeats)
+        # each mechanism: its warm-ups, then exactly `repeats` timed passes
+        for queries in (8, 32):
+            assert calls.count(queries) == analysis.BENCH_WARMUPS + repeats
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_bench_rejects_bad_repeats(self, repeats):
+        with pytest.raises(ParameterError):
+            bench_attention([16], d=8, repeats=repeats)
 
     def test_bench_rejects_bad_channels(self):
         with pytest.raises(ParameterError):

@@ -206,6 +206,17 @@ class TestTrainArtifacts:
         assert code == EXIT_USAGE
         assert "f_pred" in capsys.readouterr().err
 
+    def test_eval_checkpoint_missing_a_parameter_file(self, train_run,
+                                                      tmp_path, capsys):
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        (ckpt / "w_out.npy").unlink()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        assert "w_out" in capsys.readouterr().err
+
     def test_eval_channel_mismatch(self, train_run, capsys):
         _, out, _ = train_run
         code = main(["eval", "--checkpoint", str(out / "checkpoint"),
@@ -386,6 +397,11 @@ class TestBench:
     def test_bad_channel_list(self, capsys):
         assert main(["bench", "--channels", "8,x"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_zero_repeats(self, capsys):
+        assert main(["bench", "--channels", "8", "--d", "8",
+                     "--repeats", "0"]) == EXIT_USAGE
+        assert "repeats" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -275,9 +275,57 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="w_out"):
             load_checkpoint(path.parent)
 
-    def test_parameter_file_of_the_wrong_size(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["ucast-checkpoint-v1", "bogus", None])
+    def test_old_or_unknown_format(self, tmp_path, fmt):
+        path, manifest = self._saved_manifest(tmp_path)
+        manifest["format"] = fmt
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="format"):
+            load_checkpoint(path.parent)
+
+    def test_missing_parameter_file(self, tmp_path):
         path, _ = self._saved_manifest(tmp_path)
-        (path.parent / "w_out.csv").write_text("1.0,2.0\n")
+        (path.parent / "w_out.npy").unlink()
+        with pytest.raises(FormatError, match="w_out"):
+            load_checkpoint(path.parent)
+
+    @pytest.mark.parametrize("case", ["truncated", "empty", "csv_text",
+                                      "object_array", "npz_archive"])
+    def test_unreadable_parameter_file(self, tmp_path, case):
+        path, _ = self._saved_manifest(tmp_path)
+        target = path.parent / "w_out.npy"
+        if case == "truncated":
+            target.write_bytes(target.read_bytes()[:-8])
+        elif case == "empty":
+            target.write_bytes(b"")
+        elif case == "csv_text":
+            target.write_text("1.0,2.0\n")
+        elif case == "object_array":
+            np.save(target, np.array([[1.0], [None]], dtype=object),
+                    allow_pickle=True)
+        else:
+            value = np.load(target)
+            with target.open("wb") as fh:
+                np.savez(fh, w_out=value)
+        with pytest.raises(FormatError, match="w_out"):
+            load_checkpoint(path.parent)
+
+    def test_parameter_of_the_wrong_dtype(self, tmp_path):
+        path, _ = self._saved_manifest(tmp_path)
+        target = path.parent / "w_out.npy"
+        np.save(target, np.load(target).astype(np.float32))
+        with pytest.raises(FormatError, match="w_out"):
+            load_checkpoint(path.parent)
+
+    @pytest.mark.parametrize("reshape", [np.transpose, np.ravel,
+                                         lambda a: a[:1]],
+                             ids=["transposed", "flattened", "fewer_rows"])
+    def test_parameter_of_the_wrong_shape(self, tmp_path, reshape):
+        # a transposed or flattened file has the right number of values;
+        # only the shape in its .npy header is wrong
+        path, _ = self._saved_manifest(tmp_path)
+        target = path.parent / "w_out.npy"
+        np.save(target, np.ascontiguousarray(reshape(np.load(target))))
         with pytest.raises(FormatError, match="w_out"):
             load_checkpoint(path.parent)
 
