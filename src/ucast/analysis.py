@@ -15,7 +15,6 @@ numpy's LAPACK-backed `eigvalsh`, reversed to descending order.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from .linalg import as_matrix, cholesky_logdet, save_matrix_csv
 from .model import ForwardTrace, _attention
 from .rng import Stream
 
-DEFAULT_TOL_RATIO = 1e-6
+RANK_TOL_RATIO = 1e-6
 BENCH_WARMUPS = 3
 BENCH_REPEATS = 10
 
@@ -38,15 +37,13 @@ LOG_2PIE = float(np.log(2.0 * np.pi * np.e))
 # -- eigenvalues -----------------------------------------------------------
 
 
-def effective_rank(h: np.ndarray, tol_ratio: float = DEFAULT_TOL_RATIO) -> int:
-    """Number of singular values within tol_ratio of the largest.
+def effective_rank(h: np.ndarray) -> int:
+    """Number of singular values within RANK_TOL_RATIO of the largest.
 
     Singular values come from the eigenvalues of the smaller Gram matrix of
     h, so the cost is cubic in min(rows, cols) only.  A zero matrix has
     rank 0.
     """
-    if not (0.0 < tol_ratio < 1.0):
-        raise ParameterError(f"tol_ratio must be in (0, 1), got {tol_ratio}")
     h = as_matrix(h, "effective_rank input")
     rows, cols = h.shape
     gram = h @ h.T if rows <= cols else h.T @ h
@@ -54,7 +51,7 @@ def effective_rank(h: np.ndarray, tol_ratio: float = DEFAULT_TOL_RATIO) -> int:
     if eigs[0] == 0.0:
         return 0
     singular = np.sqrt(eigs)
-    return int(np.sum(singular >= tol_ratio * singular[0]))
+    return int(np.sum(singular >= RANK_TOL_RATIO * singular[0]))
 
 
 def entropy(sigma: np.ndarray) -> float:
@@ -169,12 +166,6 @@ def export_snapshots(out_dir, trace: ForwardTrace, epoch: int) -> dict:
     }
 
 
-def write_artifact_index(out_dir, entries: list[dict]) -> None:
-    path = Path(out_dir) / "artifacts.json"
-    with open(path, "w") as fh:
-        json.dump({"entries": entries}, fh, indent=2, sort_keys=True)
-
-
 # -- attention cost benchmark ----------------------------------------------
 
 
@@ -277,15 +268,3 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
                 mechanism=mechanism, seconds=float(np.median(seconds)),
                 score_entries=score_entries(channels, ratio, mechanism)))
     return samples
-
-
-def write_bench_csv(path, samples: list[CostSample]) -> None:
-    import csv
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "channels", "d", "ratio", "heads", "mechanism", "seconds",
-            "score_entries"])
-        writer.writeheader()
-        for s in samples:
-            writer.writerow(s.to_dict())

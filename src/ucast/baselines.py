@@ -26,10 +26,7 @@ operates at a comparable sample-to-parameter ratio across cells.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -161,6 +158,17 @@ class ExperimentResult:
                             "model": mode, "test_mse": c.test_mse[mode]})
         return out
 
+    def to_dict(self) -> dict:
+        return {
+            "seed": self.seed,
+            "cells": [
+                {"structure": c.structure, "C": c.channels,
+                 "test_mse": c.test_mse, "test_mae": c.test_mae,
+                 "cd_over_ci": c.ratio_cd_over_ci}
+                for c in self.cells
+            ],
+        }
+
 
 def experiment_windows(series: np.ndarray) -> tuple[WindowBatch, WindowBatch]:
     """Window one series and split the window population 80/20 in time order.
@@ -275,28 +283,3 @@ def assert_paper_orderings(result: ExperimentResult) -> list[str]:
                 f"cd/ci ratio grew with C: {r250:.4f} at 250 vs {r100:.4f} at 100")
     return violations
 
-
-def write_experiment_csv(path, result: ExperimentResult) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["structure", "C", "model",
-                                                "test_mse"])
-        writer.writeheader()
-        for row in result.rows():
-            writer.writerow({**row, "test_mse": repr(row["test_mse"])})
-
-
-def write_experiment_summary(path, result: ExperimentResult,
-                             violations: list[str] | None = None) -> None:
-    payload = {
-        "seed": result.seed,
-        "cells": [
-            {"structure": c.structure, "C": c.channels,
-             "test_mse": c.test_mse, "test_mae": c.test_mae,
-             "cd_over_ci": c.ratio_cd_over_ci}
-            for c in result.cells
-        ],
-    }
-    if violations is not None:
-        payload["ordering_violations"] = violations
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

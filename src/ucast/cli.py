@@ -67,6 +67,15 @@ DESK_DEFAULTS = dict(TABLE_DEFAULTS, d=32, ratio=4, batch_size=32, steps=600)
 
 _CONFIG_KEYS = tuple(TABLE_DEFAULTS)
 
+# the type each config value is read as, once, when the config is resolved;
+# the split stays text and is parsed where the series is cut
+_CONFIG_TYPES = {
+    "d": int, "layers": int, "ratio": int, "heads": int, "alpha": float,
+    "eps_cov": float, "variant": str, "horizon": int, "lookback": int,
+    "lr": float, "batch_size": int, "max_epochs": int, "patience": int,
+    "clip_norm": float, "split": str, "steps": int, "snapshot_epochs": str,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with the usage code instead of 2."""
@@ -96,6 +105,9 @@ def _resolve(args, defaults: dict) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ParameterError(
+                f"config file must hold a JSON object, got {loaded!r}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ParameterError(
@@ -105,8 +117,18 @@ def _resolve(args, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    if resolved.get("lookback") is None:
-        resolved["lookback"] = 4 * int(resolved["horizon"])
+    for key, value in resolved.items():
+        if key == "lookback" and value is None:
+            continue
+        convert = _CONFIG_TYPES[key]
+        try:
+            resolved[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(
+                f"config value {key}={value!r} is not a valid "
+                f"{convert.__name__}") from exc
+    if resolved["lookback"] is None:
+        resolved["lookback"] = 4 * resolved["horizon"]
     return resolved
 
 
@@ -177,11 +199,15 @@ def resolve_data(data_arg: str, steps: int, seed: int
 def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
                          ) -> tuple[WindowBatch, WindowBatch | None, WindowBatch]:
     """Chronological split, train-statistics z-score, per-segment windows."""
-    fractions = tuple(float(f) for f in str(cfg["split"]).split(","))
+    try:
+        fractions = tuple(float(f) for f in cfg["split"].split(","))
+    except ValueError:
+        fractions = ()
     if len(fractions) != 3:
-        raise ParameterError(f"--split needs three fractions, got {cfg['split']}")
-    lookback = int(cfg["lookback"])
-    horizon = int(cfg["horizon"])
+        raise ParameterError(
+            f"--split needs three fractions, got {cfg['split']!r}")
+    lookback = cfg["lookback"]
+    horizon = cfg["horizon"]
     train_seg, val_seg, test_seg = split_chronological(
         ds, fractions, min_rows=lookback + horizon)
     stats = zscore_fit(train_seg)
@@ -196,27 +222,27 @@ def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
 def model_config(cfg: dict, channels: int) -> UCastConfig:
     base = UCastConfig(
         channels=channels,
-        lookback=int(cfg["lookback"]),
-        horizon=int(cfg["horizon"]),
-        d=int(cfg["d"]),
-        layers=int(cfg["layers"]),
-        ratio=int(cfg["ratio"]),
-        heads=int(cfg["heads"]),
-        alpha=float(cfg["alpha"]),
-        eps_cov=float(cfg["eps_cov"]),
-        seed=int(cfg["seed"]),
+        lookback=cfg["lookback"],
+        horizon=cfg["horizon"],
+        d=cfg["d"],
+        layers=cfg["layers"],
+        ratio=cfg["ratio"],
+        heads=cfg["heads"],
+        alpha=cfg["alpha"],
+        eps_cov=cfg["eps_cov"],
+        seed=cfg["seed"],
     )
     return build_variant(base, cfg["variant"])
 
 
 def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
-        lr=float(cfg["lr"]),
-        batch_size=int(cfg["batch_size"]),
-        max_epochs=int(cfg["max_epochs"]),
-        patience=int(cfg["patience"]),
-        clip_norm=float(cfg["clip_norm"]),
-        seed=int(cfg["seed"]),
+        lr=cfg["lr"],
+        batch_size=cfg["batch_size"],
+        max_epochs=cfg["max_epochs"],
+        patience=cfg["patience"],
+        clip_norm=cfg["clip_norm"],
+        seed=cfg["seed"],
     )
 
 
@@ -356,9 +382,12 @@ def cmd_synth(args) -> int:
         print(f"ordering violation: {v}")
     if args.out:
         out = prepare_run_dir(args.out, args.force)
-        bl.write_experiment_csv(out / "table.csv", result)
-        bl.write_experiment_summary(out / "summary.json", result,
-                                    violations if args.assert_paper else None)
+        write_csv(out / "table.csv", ["structure", "C", "model", "test_mse"],
+                  result.rows())
+        summary = result.to_dict()
+        if args.assert_paper:
+            summary["ordering_violations"] = violations
+        write_json(out / "summary.json", summary)
         write_json(out / "config.json", {
             "command": "synth", "seed": args.seed,
             "settings": [list(s) for s in settings],
@@ -455,8 +484,7 @@ def _parse_snapshot_epochs(text: str) -> tuple[set[int], bool]:
 
 def _run_training(cfg: dict, out: Path | None, snapshot_spec: str = ""
                   ) -> tuple[Forecaster, "TrainReport", list[dict]]:
-    ds, provenance = resolve_data(cfg["data"], int(cfg["steps"]),
-                                  int(cfg["seed"]))
+    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     ucfg = model_config(cfg, ds.n_channels)
     model = Forecaster(ucfg)
@@ -504,7 +532,8 @@ def cmd_train(args) -> int:
         write_json(out / "report.json", summary)
         write_json(out / "timing.json", report.timing())
         if index_entries:
-            analysis.write_artifact_index(out / "snapshots", index_entries)
+            write_json(out / "snapshots" / "artifacts.json",
+                       {"entries": index_entries})
         if not report.diverged:
             save_checkpoint(out / "checkpoint", model.params, model.config)
     for key, value in summary.items():
@@ -525,7 +554,7 @@ def cmd_eval(args) -> int:
     cfg["horizon"] = ucfg.horizon
     if args.split is not None:
         cfg["split"] = args.split
-    steps = args.steps if args.steps is not None else int(cfg["steps"])
+    steps = args.steps if args.steps is not None else cfg["steps"]
     ds, provenance = resolve_data(args.data, steps, args.seed)
     if ds.n_channels != ucfg.channels:
         raise ShapeError(
@@ -561,8 +590,7 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     cfg["seed"] = args.seed
     cfg["data"] = args.data
     out = prepare_run_dir(args.out, args.force) if args.out else None
-    ds, provenance = resolve_data(cfg["data"], int(cfg["steps"]),
-                                  int(cfg["seed"]))
+    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     rows = []
     for label, row, overrides in runs:
@@ -625,7 +653,9 @@ def cmd_bench(args) -> int:
               f"  time ratio {h.seconds / f.seconds:.4f}")
     if args.out:
         out = prepare_run_dir(args.out, args.force)
-        analysis.write_bench_csv(out / "bench.csv", samples)
+        write_csv(out / "bench.csv",
+                  ["channels", "d", "ratio", "heads", "mechanism", "seconds",
+                   "score_entries"], [s.to_dict() for s in samples])
         write_json(out / "config.json", {
             "command": "bench", "seed": args.seed,
             "channels": channels, "d": args.d, "ratio": args.ratio,

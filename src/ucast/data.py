@@ -9,7 +9,6 @@ boundary because each segment is windowed independently.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,6 @@ _NAN_TOKENS = {"", "nan", "na", "null", "none"}
 class TimeSeriesDataset:
     values: np.ndarray                      # channel-major, C x N
     channel_names: list[str]
-    frequency: str = ""
     source: str = ""
     repaired_cells: int = 0
 
@@ -47,18 +45,6 @@ class TimeSeriesDataset:
     @property
     def n_steps(self) -> int:
         return self.values.shape[1]
-
-    def manifest(self, prediction_length: int | None = None) -> dict:
-        m = {
-            "channels": self.n_channels,
-            "steps": self.n_steps,
-            "frequency": self.frequency,
-            "source": self.source,
-            "repaired_cells": self.repaired_cells,
-        }
-        if prediction_length is not None:
-            m["prediction_length"] = prediction_length
-        return m
 
 
 @dataclass
@@ -87,9 +73,10 @@ def _interpolate_channel(col: np.ndarray, name: str) -> tuple[np.ndarray, int]:
     return col, int(bad.sum())
 
 
-def load_csv(path, has_header: bool | None = None) -> TimeSeriesDataset:
-    """Read a time-major CSV; NaNs are linearly interpolated (edge-filled at
-    the boundaries) and counted in `repaired_cells`."""
+def load_csv(path) -> TimeSeriesDataset:
+    """Read a time-major CSV; a first row that does not parse as numbers is
+    the header.  NaNs are linearly interpolated (edge-filled at the
+    boundaries) and counted in `repaired_cells`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -113,7 +100,7 @@ def load_csv(path, has_header: bool | None = None) -> TimeSeriesDataset:
         return True
 
     names: list[str] | None = None
-    if has_header is True or (has_header is None and not parses(rows[0])):
+    if not parses(rows[0]):
         names = [tok.strip() for tok in rows[0]]
         rows = rows[1:]
     if not rows:
@@ -150,29 +137,23 @@ def save_csv(path, ds: TimeSeriesDataset) -> None:
             writer.writerow([repr(float(x)) for x in ds.values[:, t]])
 
 
-def save_manifest(path, ds: TimeSeriesDataset,
-                  prediction_length: int | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(ds.manifest(prediction_length), indent=2, sort_keys=True) + "\n")
+def sliding_windows(ds: TimeSeriesDataset, lookback: int,
+                    horizon: int) -> WindowBatch:
+    """Every (lookback -> horizon) window of the series, one per start step.
 
-
-def sliding_windows(ds: TimeSeriesDataset, lookback: int, horizon: int,
-                    stride: int = 1) -> WindowBatch:
-    """All stride-spaced (lookback -> horizon) windows of the series.
-
-    Window count is floor((N - lookback - horizon) / stride) + 1.
+    Window count is N - lookback - horizon + 1.
     """
-    if lookback < 1 or horizon < 1 or stride < 1:
+    if lookback < 1 or horizon < 1:
         raise DataError(
-            f"lookback/horizon/stride must be >= 1, got {lookback}/{horizon}/{stride}")
+            f"lookback/horizon must be >= 1, got {lookback}/{horizon}")
     n = ds.n_steps
     span = lookback + horizon
     if n < span:
         raise DataError(
             f"segment of {n} steps is too short for lookback {lookback} + "
             f"horizon {horizon}")
-    count = (n - span) // stride + 1
-    starts = np.arange(count) * stride
+    count = n - span + 1
+    starts = np.arange(count)
     inputs = np.empty((count, ds.n_channels, lookback), dtype=np.float64)
     targets = np.empty((count, ds.n_channels, horizon), dtype=np.float64)
     for i, s in enumerate(starts):
@@ -195,7 +176,8 @@ def split_chronological(ds: TimeSeriesDataset,
     """
     if len(ratios) != 3:
         raise DataError(f"need (train, val, test) ratios, got {ratios}")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    # stated as what must hold, so that a NaN ratio fails it
+    if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
         raise DataError(f"ratios must be non-negative and sum to 1, got {ratios}")
     n = ds.n_steps
     n1 = int(math.floor(n * ratios[0]))
@@ -206,7 +188,7 @@ def split_chronological(ds: TimeSeriesDataset,
             return None
         seg = TimeSeriesDataset(values=ds.values[:, lo:hi].copy(),
                                 channel_names=list(ds.channel_names),
-                                frequency=ds.frequency, source=ds.source)
+                                source=ds.source)
         if min_rows is not None and seg.n_steps < min_rows:
             raise DataError(
                 f"{label} segment has {seg.n_steps} rows, too short to build a "
@@ -244,8 +226,4 @@ def zscore_fit(ds: TimeSeriesDataset) -> ZScoreStats:
 def zscore_apply(ds: TimeSeriesDataset, stats: ZScoreStats) -> TimeSeriesDataset:
     vals = (ds.values - stats.mean[:, None]) / stats.guarded_std[:, None]
     return TimeSeriesDataset(values=vals, channel_names=list(ds.channel_names),
-                             frequency=ds.frequency, source=ds.source)
-
-
-def zscore_invert(values: np.ndarray, stats: ZScoreStats) -> np.ndarray:
-    return values * stats.guarded_std[:, None] + stats.mean[:, None]
+                             source=ds.source)

@@ -173,9 +173,7 @@ def instance_denormalize(y_norm: np.ndarray, stats: InstanceStats) -> np.ndarray
 @dataclass
 class ForwardTrace:
     config: UCastConfig
-    stats: InstanceStats
     h_nodes: list[Node]          # H^0 .. H^L
-    u_nodes: list[Node]          # U^L .. U^0
     attn_down: list[np.ndarray]  # per stage, head-averaged, [B x] C_l x C_{l-1}
     attn_up: list[np.ndarray]    # per stage, head-averaged, [B x] C_{l-1} x C_l
     y: Node
@@ -238,12 +236,10 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
         attn_down.append(attn)
 
     u = tape.matmul(h_nodes[-1], nodes["f_pred"])
-    u_nodes = [u]
     attn_up = []
     if config.variant == "no_upsampling":
         u = tape.matmul(nodes["restore"], u)
         _check_finite(u, "channel restore")
-        u_nodes.append(u)
     else:
         for level in range(config.layers, 0, -1):
             skip = h_nodes[level - 1]
@@ -253,15 +249,13 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                 nodes[f"dec{level}.w_v"], nodes[f"dec{level}.w_o"], config.heads)
             u = tape.add(out, skip)
             _check_finite(u, f"expansion stage {level}")
-            u_nodes.append(u)
             attn_up.append(attn)
 
     y_norm = tape.matmul(tape.add(u, h_nodes[0]), nodes["w_out"])
     y = tape.row_affine_const(y_norm, stats.scale, stats.mean)
     _check_finite(y, "prediction")
-    return ForwardTrace(config=config, stats=stats, h_nodes=h_nodes,
-                        u_nodes=u_nodes, attn_down=attn_down, attn_up=attn_up,
-                        y=y)
+    return ForwardTrace(config=config, h_nodes=h_nodes, attn_down=attn_down,
+                        attn_up=attn_up, y=y)
 
 
 def _check_finite(node: Node, stage: str) -> None:

@@ -18,15 +18,9 @@ class Stream:
     """Seeded random stream; every consumer names its own sub-stream key."""
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
+        entropy = (int(seed), *(int(k) for k in key))
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, *self.key)))
-        )
-
-    def child(self, *key: int) -> "Stream":
-        """Independent stream addressed by an extended key."""
-        return Stream(self.seed, self.key + tuple(key))
+            np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         if high < low:
@@ -52,6 +46,3 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))

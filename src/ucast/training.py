@@ -226,29 +226,6 @@ def batch_gradients(model: TrainableModel, inputs: np.ndarray,
     return float(loss.value), gradients(nodes)
 
 
-def _batch_gradients_with_retry(model: TrainableModel, inputs: np.ndarray,
-                                targets: np.ndarray
-                                ) -> tuple[float, dict[str, np.ndarray]]:
-    """Memory-exhaustion policy: halve the batch and merge, floor at one.
-
-    A batch's graph holds every window's activations at once, so a batch
-    that does not fit is split rather than failing the run.
-    """
-    try:
-        return batch_gradients(model, inputs, targets)
-    except MemoryError:
-        count = inputs.shape[0]
-        if count <= 1:
-            raise
-        half = count // 2
-        l1, g1 = _batch_gradients_with_retry(model, inputs[:half], targets[:half])
-        l2, g2 = _batch_gradients_with_retry(model, inputs[half:], targets[half:])
-        w1 = half / count
-        w2 = (count - half) / count
-        merged = {n: g1[n] * w1 + g2[n] * w2 for n in g1}
-        return l1 * w1 + l2 * w2, merged
-
-
 # -- the loop --------------------------------------------------------------
 
 
@@ -265,7 +242,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     Without a validation set the loop runs all epochs and keeps the final
     parameters.  A non-finite training loss, or a numeric failure after the
     first step (validation and test evaluation included), aborts with a
-    diverged report instead of raising.
+    diverged report instead of raising.  A batch whose graph does not fit in
+    memory is a ParameterError: every full batch has the same shapes, so it
+    fails at the first step.
     """
     if train_windows.count == 0:
         raise ParameterError("train: empty training set")
@@ -288,8 +267,12 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         for lo in range(0, train_windows.count, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             try:
-                loss, grads = _batch_gradients_with_retry(
+                loss, grads = batch_gradients(
                     model, train_windows.inputs[idx], train_windows.targets[idx])
+            except MemoryError as exc:
+                raise ParameterError(
+                    f"a batch of {len(idx)} windows does not fit in memory; "
+                    "lower --batch-size") from exc
             except NumericError as exc:
                 # A numeric failure on the very first step is a config
                 # problem and propagates; after a successful step it means

@@ -33,7 +33,7 @@ RADIUS_TOL = 1e-8
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_DOUBLINGS = 64
 # sample rows scored per product in monte_carlo_risks: the residuals are
-# held one MC_BLOCK_ROWS x len(subset_sizes) block at a time, never n x C
+# held one MC_BLOCK_ROWS x C block at a time, never n x C
 MC_BLOCK_ROWS = 4096
 
 
@@ -90,8 +90,7 @@ def _integral(name: str, value) -> int:
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
-def spectral_radius(a: np.ndarray, iters: int = RADIUS_ITERS,
-                    tol: float = RADIUS_TOL, seed: int = 0) -> float:
+def spectral_radius(a: np.ndarray) -> float:
     """Dominant |eigenvalue| estimate by normalized power iteration.
 
     The per-step growth ratio is tracked for early exit; the returned value is
@@ -104,18 +103,19 @@ def spectral_radius(a: np.ndarray, iters: int = RADIUS_ITERS,
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"spectral_radius: matrix not square, {a.shape}")
     n = a.shape[0]
-    v = Stream(seed, (n, 101)).normal(n)
+    v = Stream(0, (n, 101)).normal(n)
     v /= np.linalg.norm(v)
     ratios = []
     prev_ratio = None
-    for _ in range(iters):
+    for _ in range(RADIUS_ITERS):
         w = a @ v
         ratio = float(np.linalg.norm(w))
         if ratio == 0.0:
             return 0.0
         ratios.append(ratio)
         v = w / ratio
-        if prev_ratio is not None and abs(ratio - prev_ratio) <= tol * max(1.0, ratio):
+        if (prev_ratio is not None
+                and abs(ratio - prev_ratio) <= RADIUS_TOL * max(1.0, ratio)):
             return ratio
         prev_ratio = ratio
     # no per-step convergence (e.g. a dominant complex pair): average the
@@ -163,19 +163,17 @@ def _structure_id(structure: str) -> int:
         raise ParameterError(f"unknown structure '{structure}'") from None
 
 
-def simulate(spec: VarProcessSpec, steps: int, burn_in: int = 0,
-             seed: int | None = None) -> np.ndarray:
+def simulate(spec: VarProcessSpec, steps: int, burn_in: int = 0) -> np.ndarray:
     """Run the recursion for `steps` draws and drop the first `burn_in`.
 
     Returns a channel-major (C x kept) matrix.  z_0 ~ N(0, I); the kept block
-    starts at z_{burn_in + 1}.  Bit-reproducible for a given seed.
+    starts at z_{burn_in + 1}.  Bit-reproducible for a given spec.seed.
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
     if not (0 <= burn_in < steps):
         raise ParameterError(f"burn_in must be in [0, steps), got {burn_in}")
-    use_seed = spec.seed if seed is None else seed
-    stream = Stream(use_seed, (_structure_id(spec.structure), spec.C, 7))
+    stream = Stream(spec.seed, (_structure_id(spec.structure), spec.C, 7))
     z = stream.normal(spec.C)
     scale = np.sqrt(spec.noise_diag)
     noise = stream.normal((spec.C, steps)) * scale[:, None]
@@ -297,10 +295,9 @@ def bayes_risk_sequence(spec: VarProcessSpec, target: int = 0) -> RiskReport:
 
 
 def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
-                      target: int = 0, subset_sizes: list[int] | None = None
-                      ) -> dict[int, float]:
+                      target: int = 0) -> dict[int, float]:
     """Sampled risk of the conditional-mean predictor that sees the first p
-    channels, for each p in subset_sizes (default: 1..C).
+    channels, for each p = 1..C.
 
     Draws (z_t, z_{t+1}) pairs from the stationary law, z_t = L g with
     g ~ N(0, I), and scores the Gaussian conditional-mean coefficients
@@ -312,21 +309,16 @@ def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    sizes = list(range(1, spec.C + 1)) if subset_sizes is None else subset_sizes
-    for p in sizes:
-        if not (1 <= p <= spec.C):
-            raise ParameterError(f"subset size {p} out of range")
     chol, w, _ = _whitened(spec, target)
     stream = Stream(seed, (_structure_id(spec.structure), spec.C, 13))
     draws = stream.normal((n_samples, spec.C))
     eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
     # formed after the draws, whose Box-Muller temporaries set the peak
     coeffs = np.cumsum(np.linalg.inv(chol).T * w, axis=1)
-    weights = chol.T @ (spec.A[target][:, None]
-                        - coeffs[:, np.asarray(sizes) - 1])
-    sq_sum = np.zeros(len(sizes))
+    weights = chol.T @ (spec.A[target][:, None] - coeffs)
+    sq_sum = np.zeros(spec.C)
     for lo in range(0, n_samples, MC_BLOCK_ROWS):
         resid = draws[lo:lo + MC_BLOCK_ROWS] @ weights
         resid += eps[lo:lo + MC_BLOCK_ROWS, None]
         sq_sum += np.einsum("ij,ij->j", resid, resid)
-    return {p: float(v / n_samples) for p, v in zip(sizes, sq_sum)}
+    return {p: float(v / n_samples) for p, v in enumerate(sq_sum, start=1)}

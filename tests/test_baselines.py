@@ -1,6 +1,4 @@
 """Linear baselines, the windowing protocol, and table ordering checks."""
-import csv
-import json
 
 import numpy as np
 import pytest
@@ -10,8 +8,7 @@ from ucast.baselines import (BASELINE_MODES, SERIES_BURN_IN, SERIES_STEPS,
                              CellResult, ExperimentResult, LinearBaseline,
                              _pool_windows, assert_paper_orderings,
                              experiment_train_config, experiment_windows,
-                             fit_linear_baseline, run_ci_cd_experiment,
-                             write_experiment_csv, write_experiment_summary)
+                             fit_linear_baseline, run_ci_cd_experiment)
 from ucast.data import WindowBatch
 from ucast.errors import ParameterError, ShapeError
 from ucast.rng import Stream
@@ -189,33 +186,6 @@ class TestOrderings:
         assert cell.ratio_cd_over_ci == pytest.approx(0.5)
         with pytest.raises(KeyError):
             result.cell("independent", 100)
-
-
-class TestArtifacts:
-    def test_csv_and_summary_round_trip(self, tmp_path):
-        result = make_result([
-            ("independent", 100, 1.0, 1.25),
-            ("anti_self", 100, 1.0, 0.75),
-        ])
-        csv_path = tmp_path / "table.csv"
-        json_path = tmp_path / "summary.json"
-        write_experiment_csv(csv_path, result)
-        write_experiment_summary(json_path, result, violations=[])
-        with csv_path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4            # 2 cells x 2 models
-        assert {r["model"] for r in rows} == set(BASELINE_MODES)
-        back = {(r["structure"], int(r["C"]), r["model"]):
-                float(r["test_mse"]) for r in rows}
-        assert back[("anti_self", 100, "cd")] == 0.75
-        payload = json.loads(json_path.read_text())
-        assert payload["ordering_violations"] == []
-        assert payload["cells"][1]["cd_over_ci"] == pytest.approx(0.75)
-
-    def test_summary_without_violations_field(self, tmp_path):
-        path = tmp_path / "s.json"
-        write_experiment_summary(path, make_result([]))
-        assert "ordering_violations" not in json.loads(path.read_text())
 
 
 class TestExperimentEndToEnd:

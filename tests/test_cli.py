@@ -1,4 +1,5 @@
 """End-to-end command line behavior, exit codes, and artifact determinism."""
+import csv
 import json
 import shutil
 import subprocess
@@ -64,11 +65,24 @@ class TestUsageErrors:
         assert main(["train", "--data", data, *TINY_TRAIN]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_bad_split(self, capsys):
-        code = main(["train", "--data", "var:independent:4:120",
-                     *TINY_TRAIN, "--split", "0.8,0.2"])
+    def test_bad_split(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"split": "a,b,c"}))
+        for extra in (["--split", "0.8,0.2"], ["--split", "a,b,c"],
+                      ["--config", str(cfg_file)]):
+            code = main(["train", "--data", "var:independent:4:120",
+                         *TINY_TRAIN, *extra])
+            assert code == EXIT_USAGE, extra
+            assert "--split" in capsys.readouterr().err
+
+    def test_batch_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+        monkeypatch.setattr(Forecaster, "build_loss", out_of_memory)
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN])
         assert code == EXIT_USAGE
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "batch of 16 windows" in err and "--batch-size" in err
 
     def test_bad_snapshot_epoch(self, capsys):
         code = main(["train", "--data", "var:independent:4:120",
@@ -134,12 +148,15 @@ class TestConfigPrecedence:
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_config_file_must_be_json(self, tmp_path, capsys):
+        # not JSON, not an object, then values of the wrong type
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text("lr: 0.005")
-        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
-                     "--config", str(cfg_file)])
-        assert code == EXIT_USAGE
-        capsys.readouterr()
+        for text in ("lr: 0.005", "null", '{"clip_norm": null}',
+                     '{"lr": "fast"}', '{"heads": "two"}'):
+            cfg_file.write_text(text)
+            code = main(["train", "--data", "var:independent:4:120",
+                         *TINY_TRAIN, "--config", str(cfg_file)])
+            assert code == EXIT_USAGE, text
+            capsys.readouterr()
 
     def test_lookback_defaults_to_four_horizons(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -241,10 +258,15 @@ class TestSnapshots:
         code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
                      "--snapshot-epochs", "0,final", "--out", str(out)])
         assert code == EXIT_OK
-        index = json.loads((out / "snapshots" / "artifacts.json").read_text())
+        text = (out / "snapshots" / "artifacts.json").read_text()
+        assert text.endswith("}\n")
+        index = json.loads(text)
+        assert list(index) == ["entries"]
         epochs = [e["epoch"] for e in index["entries"]]
-        assert epochs[0] == 0 and len(epochs) == 2
+        assert epochs == [0, 2]
         for entry in index["entries"]:
+            assert set(entry) == {"epoch", "files", "snapshots"}
+            assert len(entry["snapshots"]) == 2          # one per stage
             for name in entry["files"]:
                 assert (out / "snapshots" / name).exists()
         capsys.readouterr()
@@ -342,6 +364,25 @@ class TestSynth:
         assert read_bytes_map(out_a) == read_bytes_map(out_b)
         table = (out_a / "table.csv").read_text()
         assert table.count("\n") == 3      # header + ci + cd
+        summary = json.loads((out_a / "summary.json").read_text())
+        assert "ordering_violations" not in summary
+        capsys.readouterr()
+
+    def test_assert_paper_table_and_summary(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["synth", "--structure", "independent", "--channels", "4",
+                     "--pooled", "2", "--assert-paper",
+                     "--out", str(out)]) == EXIT_OK
+        with (out / "table.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["structure"], r["C"], r["model"]) for r in rows] == [
+            ("independent", "4", "ci"), ("independent", "4", "cd")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ordering_violations"] == []
+        cell, = summary["cells"]
+        mse = {r["model"]: float(r["test_mse"]) for r in rows}
+        assert cell["test_mse"] == mse
+        assert cell["cd_over_ci"] == mse["cd"] / mse["ci"]
         capsys.readouterr()
 
     def test_settings_and_custom_flags_exclusive(self, capsys):
@@ -390,8 +431,16 @@ class TestBench:
         code = main(["bench", "--channels", "8,16", "--d", "8",
                      "--repeats", "1", "--out", str(out)])
         assert code == EXIT_OK
-        text = (out / "bench.csv").read_text()
-        assert text.count("HLQN") == 2 and text.count("FlatAttention") == 2
+        with (out / "bench.csv").open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["channels", "d", "ratio", "heads",
+                                     "mechanism", "seconds", "score_entries"]
+        assert [(r["channels"], r["mechanism"]) for r in rows] == [
+            ("8", "HLQN"), ("8", "FlatAttention"),
+            ("16", "HLQN"), ("16", "FlatAttention")]
+        assert [int(r["score_entries"]) for r in rows] == [8, 64, 16, 256]
+        assert all(float(r["seconds"]) > 0 for r in rows)
         assert "analytic ratio" in capsys.readouterr().out
 
     def test_bad_channel_list(self, capsys):

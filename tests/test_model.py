@@ -141,7 +141,7 @@ class TestForward:
         cfg = tiny_config()
         trace = Forecaster(cfg).trace(window(cfg))
         assert len(trace.h_nodes) == cfg.layers + 1
-        assert len(trace.u_nodes) == cfg.layers + 1
+        assert len(trace.attn_up) == cfg.layers
         assert trace.prediction.shape == (cfg.channels, cfg.horizon)
 
     def test_deterministic(self):

@@ -10,8 +10,7 @@ from ucast.errors import DefinitenessError, NumericError, ParameterError
 from ucast.model import VARIANTS, Forecaster, build_variant
 from ucast.rng import Stream
 from ucast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
-                            OptimizerState, TrainConfig,
-                            _batch_gradients_with_retry, adam_step,
+                            OptimizerState, TrainConfig, adam_step,
                             batch_gradients, clip_gradients, evaluate, train)
 
 
@@ -61,28 +60,6 @@ class UnstableEvalModel(QuadraticModel):
 
     def predict(self, x):
         raise NumericError("non-finite activations after prediction")
-
-
-class MemoryCappedModel:
-    """Wraps a model; its loss raises MemoryError on stacks above `cap`."""
-
-    def __init__(self, model, cap: int):
-        self.model = model
-        self.params = model.params
-        self.cap = cap
-        self.sizes = []
-
-    def trainable(self):
-        return self.model.trainable()
-
-    def build_loss(self, tape, nodes, x, y):
-        self.sizes.append(x.shape[0])
-        if x.shape[0] > self.cap:
-            raise MemoryError("synthetic allocation failure")
-        return self.model.build_loss(tape, nodes, x, y)
-
-    def predict(self, x):
-        return self.model.predict(x)
 
 
 def per_window_reference(model, inputs, targets):
@@ -224,25 +201,6 @@ class TestBatchGradients:
         assert set(grads) == set(ref_grads)
         for name in grads:
             assert max_rel_err(grads[name], ref_grads[name]) <= 1e-10, name
-
-    def test_memory_retry_splits_and_matches_unsplit(self):
-        model = parity_model("full", 1)
-        batch = toy_batch(count=7, c=6, t=8, s=4)
-        capped = MemoryCappedModel(model, cap=2)
-        loss, grads = _batch_gradients_with_retry(capped, batch.inputs,
-                                                  batch.targets)
-        want_loss, want_grads = batch_gradients(model, batch.inputs,
-                                                batch.targets)
-        assert capped.sizes[0] == 7 and 1 in capped.sizes
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        for name in want_grads:
-            assert max_rel_err(grads[name], want_grads[name]) <= 1e-12, name
-
-    def test_memory_retry_gives_up_at_one_window(self):
-        batch = toy_batch(count=3, c=6, t=8, s=4)
-        capped = MemoryCappedModel(Forecaster(tiny_config()), cap=0)
-        with pytest.raises(MemoryError):
-            _batch_gradients_with_retry(capped, batch.inputs, batch.targets)
 
 
 class TestTrainLoop:

@@ -5,6 +5,8 @@ vec(S) = (I - A kron A)^{-1} vec(Q), a different algorithm from the
 package's doubling iteration.  The risk oracles, which work from one
 Cholesky factor, are checked against one linear solve per subset size.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +45,7 @@ def per_p_risks(spec: VarProcessSpec, target: int = 0) -> np.ndarray:
 
 
 def per_p_monte_carlo(spec: VarProcessSpec, n_samples: int, seed: int,
-                      target: int, sizes) -> dict[int, float]:
+                      target: int) -> dict[int, float]:
     """The sampled risks from the same draws, scoring one p at a time on the
     explicit sample z_t = g L^T."""
     s, _, coeffs = per_p_coefficients(spec, target)
@@ -52,7 +54,7 @@ def per_p_monte_carlo(spec: VarProcessSpec, n_samples: int, seed: int,
     eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
     y = z_t @ spec.A[target] + eps
     return {p: float(np.mean((y - z_t[:, :p] @ coeffs[p - 1]) ** 2))
-            for p in sizes}
+            for p in range(1, spec.C + 1)}
 
 
 class TestSpectralRadius:
@@ -200,8 +202,9 @@ class TestSimulate:
     def test_deterministic_and_seed_override(self):
         spec = make_var_spec("anti_self", 4, seed=5)
         assert np.array_equal(simulate(spec, 30), simulate(spec, 30))
-        assert not np.array_equal(simulate(spec, 30),
-                                  simulate(spec, 30, seed=6))
+        assert not np.array_equal(
+            simulate(spec, 30),
+            simulate(dataclasses.replace(spec, seed=6), 30))
 
     def test_validation(self):
         spec = make_var_spec("anti_self", 3)
@@ -354,20 +357,12 @@ class TestMonteCarlo:
         for p in range(1, 4):
             assert mc[p] == pytest.approx(closed[p - 1], rel=0.02)
 
-    def test_subset_selection(self):
-        spec = random_stable_spec(4, 8)
-        mc = monte_carlo_risks(spec, n_samples=1000, subset_sizes=[2, 4])
-        assert set(mc) == {2, 4}
-
     @pytest.mark.parametrize("n_samples",
                              [1, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("sizes", [None, [5, 2, 1]])
-    def test_blocked_matches_per_p_reference(self, n_samples, sizes):
+    def test_blocked_matches_per_p_reference(self, n_samples):
         spec = random_stable_spec(5, 17)
-        got = monte_carlo_risks(spec, n_samples=n_samples, seed=4, target=1,
-                                subset_sizes=sizes)
-        want = per_p_monte_carlo(spec, n_samples, seed=4, target=1,
-                                 sizes=sizes or range(1, 6))
+        got = monte_carlo_risks(spec, n_samples=n_samples, seed=4, target=1)
+        want = per_p_monte_carlo(spec, n_samples, seed=4, target=1)
         assert list(got) == list(want)
         for p in want:
             assert got[p] == pytest.approx(want[p], rel=1e-12)
@@ -376,20 +371,9 @@ class TestMonteCarlo:
         spec = random_stable_spec(2, 0)
         with pytest.raises(ParameterError):
             monte_carlo_risks(spec, n_samples=0)
-        with pytest.raises(ParameterError):
-            monte_carlo_risks(spec, n_samples=10, subset_sizes=[3])
         for target in (-1, 2):
             with pytest.raises(ParameterError, match="target"):
                 monte_carlo_risks(spec, n_samples=10, target=target)
-
-    def test_subset_sizes_checked_before_sampling(self, monkeypatch):
-        spec = random_stable_spec(2, 0)
-
-        def no_stream(*args, **kwargs):
-            raise AssertionError("sampled before validating subset sizes")
-        monkeypatch.setattr(varlab, "Stream", no_stream)
-        with pytest.raises(ParameterError, match="subset size 3"):
-            monte_carlo_risks(spec, n_samples=10, subset_sizes=[3])
 
 
 @pytest.mark.parametrize("oracle", [
