@@ -1,4 +1,5 @@
 """Spectral diagnostics, covariance snapshots, and the attention cost bench."""
+import csv
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from conftest import random_spd, tiny_config
 from ucast import analysis
 from ucast.analysis import (LOG_2PIE, MECHANISMS, RANK_TOL_RATIO,
-                            bench_attention, effective_rank, entropy,
-                            export_snapshots, offdiagonal_mass,
+                            CostSample, bench_attention, effective_rank,
+                            entropy, export_snapshots, offdiagonal_mass,
                             score_entries, snapshot)
+from ucast.cli import write_csv, write_json
 from ucast.errors import DefinitenessError, ParameterError
 from ucast.linalg import cholesky_logdet
 from ucast.model import Forecaster
@@ -147,6 +149,14 @@ class TestSnapshots:
                           ndmin=2)
         assert np.array_equal(back, sigma)
 
+    def test_artifact_index_round_trip(self, tmp_path):
+        # the index cmd_train writes: export_snapshots entries under "entries"
+        model, trace = self.make_trace()
+        entries = [export_snapshots(tmp_path, trace, epoch=0)]
+        write_json(tmp_path / "artifacts.json", {"entries": entries})
+        payload = json.loads((tmp_path / "artifacts.json").read_text())
+        assert payload["entries"] == entries
+
 
 class TestCovarianceEvolution:
     def test_offdiag_mass_drops_under_strong_penalty(self):
@@ -224,3 +234,14 @@ class TestCostModel:
     def test_bench_rejects_bad_channels(self):
         with pytest.raises(ParameterError):
             bench_attention([0], d=8, repeats=1)
+
+    def test_bench_csv_round_trip(self, tmp_path):
+        sample = CostSample(channels=16, d=8, ratio=4, heads=1,
+                            mechanism="HLQN", seconds=0.25, score_entries=64)
+        path = tmp_path / "bench.csv"
+        write_csv(path, list(sample.to_dict()), [sample.to_dict()])
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["mechanism"] == "HLQN"
+        assert float(rows[0]["seconds"]) == 0.25
+        assert int(rows[0]["score_entries"]) == 64

@@ -1,4 +1,5 @@
 """Linear baselines, the windowing protocol, and table ordering checks."""
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ucast.baselines import (BASELINE_MODES, SERIES_BURN_IN, SERIES_STEPS,
                              _pool_windows, assert_paper_orderings,
                              experiment_train_config, experiment_windows,
                              fit_linear_baseline, run_ci_cd_experiment)
+from ucast.cli import write_json
 from ucast.data import WindowBatch
 from ucast.errors import ParameterError, ShapeError
 from ucast.rng import Stream
@@ -186,6 +188,18 @@ class TestOrderings:
         assert cell.ratio_cd_over_ci == pytest.approx(0.5)
         with pytest.raises(KeyError):
             result.cell("independent", 100)
+
+
+class TestArtifacts:
+    def test_summary_without_violations_field(self, tmp_path):
+        # summary.json is to_dict(); only cmd_synth --assert-paper adds
+        # the ordering_violations field
+        path = tmp_path / "s.json"
+        result = make_result([("independent", 100, 1.0, 1.25)])
+        write_json(path, result.to_dict())
+        payload = json.loads(path.read_text())
+        assert "ordering_violations" not in payload
+        assert payload == result.to_dict()
 
 
 class TestExperimentEndToEnd:
