@@ -24,7 +24,7 @@ from . import analysis
 from .data import (TimeSeriesDataset, WindowBatch, load_csv, sliding_windows,
                    split_chronological, zscore_apply, zscore_fit)
 from .errors import (DataError, FormatError, ParameterError, ShapeError,
-                     UcastError)
+                     UcastError, integral)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, train
@@ -121,6 +121,9 @@ def _resolve(args, defaults: dict) -> dict:
         if key == "lookback" and value is None:
             continue
         convert = _CONFIG_TYPES[key]
+        if convert is int:
+            resolved[key] = integral(f"config value {key}", value)
+            continue
         try:
             resolved[key] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:

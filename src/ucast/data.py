@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ShapeError
+from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _NAN_TOKENS = {"", "nan", "na", "null", "none"}
 
@@ -175,10 +175,11 @@ def split_chronological(ds: TimeSeriesDataset,
     too-short non-empty segment fail here instead of downstream.
     """
     if len(ratios) != 3:
-        raise DataError(f"need (train, val, test) ratios, got {ratios}")
+        raise ParameterError(f"need (train, val, test) ratios, got {ratios}")
     # stated as what must hold, so that a NaN ratio fails it
     if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
-        raise DataError(f"ratios must be non-negative and sum to 1, got {ratios}")
+        raise ParameterError(
+            f"ratios must be non-negative and sum to 1, got {ratios}")
     n = ds.n_steps
     n1 = int(math.floor(n * ratios[0]))
     n2 = int(math.floor(n * (ratios[0] + ratios[1])))

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by every module in the package."""
 
+import numbers
+
 
 class UcastError(Exception):
     """Base class for all package-specific failures."""
@@ -35,3 +37,13 @@ class DataError(UcastError, ValueError):
 
 class FormatError(UcastError, ValueError):
     """A file cannot be parsed (ragged rows, bad header, bad manifest)."""
+
+
+def integral(name: str, value) -> int:
+    """An integer read from a spec or config file; 2 and 2.0 are accepted,
+    2.7, "2" and true are not."""
+    if not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")

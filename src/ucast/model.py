@@ -121,26 +121,39 @@ def ladder_sizes(channels: int, ratio: int, layers: int) -> list[int]:
 ModelParams = dict[str, np.ndarray]
 
 
-def init_params(config: UCastConfig) -> ModelParams:
-    """Seeded initialization: weights and queries N(0, 0.02^2), LN at identity."""
-    stream = Stream(config.seed, (211,))
+def param_shapes(config: UCastConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order init_params draws them."""
     d = config.d
     sizes = ladder_sizes(config.channels, config.ratio, config.layers)
-    params: ModelParams = {"w_in": stream.normal_matrix(config.lookback, d, INIT_STD)}
+    shapes = {"w_in": (config.lookback, d)}
     for level, width in enumerate(sizes, start=1):
-        params[f"enc{level}.query"] = stream.normal_matrix(width, d, INIT_STD)
+        shapes[f"enc{level}.query"] = (width, d)
         for name in ("w_q", "w_k", "w_v", "w_o"):
-            params[f"enc{level}.{name}"] = stream.normal_matrix(d, d, INIT_STD)
-        params[f"enc{level}.ln_gain"] = np.ones(d)
-        params[f"enc{level}.ln_bias"] = np.zeros(d)
-    params["f_pred"] = stream.normal_matrix(d, d, INIT_STD)
+            shapes[f"enc{level}.{name}"] = (d, d)
+        shapes[f"enc{level}.ln_gain"] = (d,)
+        shapes[f"enc{level}.ln_bias"] = (d,)
+    shapes["f_pred"] = (d, d)
     if config.variant == "no_upsampling":
-        params["restore"] = stream.normal_matrix(config.channels, sizes[-1], INIT_STD)
+        shapes["restore"] = (config.channels, sizes[-1])
     else:
         for level in range(config.layers, 0, -1):
             for name in ("w_q", "w_k", "w_v", "w_o"):
-                params[f"dec{level}.{name}"] = stream.normal_matrix(d, d, INIT_STD)
-    params["w_out"] = stream.normal_matrix(d, config.horizon, INIT_STD)
+                shapes[f"dec{level}.{name}"] = (d, d)
+    shapes["w_out"] = (d, config.horizon)
+    return shapes
+
+
+def init_params(config: UCastConfig) -> ModelParams:
+    """Seeded initialization: weights and queries N(0, 0.02^2), LN at identity."""
+    stream = Stream(config.seed, (211,))
+    params: ModelParams = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".ln_gain"):
+            params[name] = np.ones(shape)
+        elif name.endswith(".ln_bias"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = stream.normal_matrix(*shape, INIT_STD)
     return params
 
 
@@ -354,7 +367,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
                 f"{CHECKPOINT_FORMAT!r}")
         config = UCastConfig.from_dict(manifest["config"])
         shapes = manifest["shapes"]
-        expected = {k: list(v.shape) for k, v in init_params(config).items()}
+        expected = {k: list(v) for k, v in param_shapes(config).items()}
         bad = sorted(k for k in expected.keys() | shapes.keys()
                      if shapes.get(k) != expected.get(k))
     except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:

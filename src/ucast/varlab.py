@@ -15,13 +15,12 @@ predictor collapses to the noise floor sigma_tt.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConvergenceError, DefinitenessError, ParameterError,
-                     ShapeError)
+                     ShapeError, integral)
 from .linalg import as_matrix
 from .rng import Stream
 
@@ -74,20 +73,10 @@ class VarProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarProcessSpec":
-        return cls(structure=d["structure"], C=_integral("C", d["C"]),
+        return cls(structure=d["structure"], C=integral("C", d["C"]),
                    A=np.asarray(d["A"], dtype=np.float64),
                    noise_diag=np.asarray(d["noise_diag"], dtype=np.float64),
-                   seed=_integral("seed", d.get("seed", 0)))
-
-
-def _integral(name: str, value) -> int:
-    """An integer read from a spec dict; 2 and 2.0 are accepted, 2.7, "2"
-    and true are not."""
-    if not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral)
-            or (isinstance(value, float) and value.is_integer())):
-        return int(value)
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
+                   seed=integral("seed", d.get("seed", 0)))
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -313,7 +302,6 @@ def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
     stream = Stream(seed, (_structure_id(spec.structure), spec.C, 13))
     draws = stream.normal((n_samples, spec.C))
     eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
-    # formed after the draws, whose Box-Muller temporaries set the peak
     coeffs = np.cumsum(np.linalg.inv(chol).T * w, axis=1)
     weights = chol.T @ (spec.A[target][:, None] - coeffs)
     sq_sum = np.zeros(spec.C)

@@ -75,6 +75,14 @@ class TestUsageErrors:
             assert code == EXIT_USAGE, extra
             assert "--split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["0.5,0.6,0.2", "-0.1,0.9,0.2",
+                                       "nan,0.5,0.5"])
+    def test_split_fractions_must_sum_to_one(self, split, capsys):
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     f"--split={split}"])
+        assert code == EXIT_USAGE
+        assert "sum to 1" in capsys.readouterr().err
+
     def test_batch_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("synthetic allocation failure")
@@ -157,6 +165,29 @@ class TestConfigPrecedence:
                          *TINY_TRAIN, "--config", str(cfg_file)])
             assert code == EXIT_USAGE, text
             capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [("d", 8.7), ("heads", True)])
+    def test_integer_keys_refuse_non_integers(self, key, value, tmp_path,
+                                              capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"d": 8, "ratio": 2, "horizon": 2,
+                                        "max_epochs": 1, key: value}))
+        code = main(["train", "--data", "var:independent:4:120",
+                     "--config", str(cfg_file)])
+        assert code == EXIT_USAGE
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_reads_as_integer(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"d": 8, "ratio": 2.0, "horizon": 2,
+                                        "max_epochs": 1, "batch_size": 16}))
+        out = tmp_path / "run"
+        code = main(["train", "--data", "var:independent:4:120",
+                     "--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_OK
+        stored = json.loads((out / "config.json").read_text())
+        assert stored["ratio"] == 2 and isinstance(stored["ratio"], int)
+        capsys.readouterr()
 
     def test_lookback_defaults_to_four_horizons(self, tmp_path, capsys):
         out = tmp_path / "run"

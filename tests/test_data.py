@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ucast.data import (TimeSeriesDataset, WindowBatch, load_csv, save_csv,
                         sliding_windows, split_chronological, zscore_apply,
                         zscore_fit)
-from ucast.errors import DataError, FormatError, ShapeError
+from ucast.errors import DataError, FormatError, ParameterError, ShapeError
 from ucast.rng import Stream
 
 
@@ -158,11 +158,11 @@ class TestSplit:
 
     def test_ratio_validation(self):
         ds = make_ds(1, 50)
-        with pytest.raises(DataError):
+        with pytest.raises(ParameterError):
             split_chronological(ds, (0.5, 0.5, 0.5))
-        with pytest.raises(DataError):
+        with pytest.raises(ParameterError):
             split_chronological(ds, (-0.1, 0.6, 0.5))
-        with pytest.raises(DataError):
+        with pytest.raises(ParameterError):
             split_chronological(ds, (float("nan"), 0.5, 0.5))
 
     def test_min_rows_guard(self):

@@ -9,7 +9,8 @@ from ucast.errors import FormatError, ParameterError, ShapeError
 from ucast.model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                          cov_loss, init_params, instance_denormalize,
                          instance_normalize, ladder_sizes, load_checkpoint,
-                         save_checkpoint, total_loss, trainable_names)
+                         param_shapes, save_checkpoint, total_loss,
+                         trainable_names)
 from ucast.autodiff import Tape
 from ucast.rng import Stream
 
@@ -75,6 +76,12 @@ class TestInitParams:
         params = init_params(tiny_config(variant="no_upsampling"))
         assert params["restore"].shape == (6, 1)
         assert not any(k.startswith("dec") for k in params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_walks_param_shapes_in_order(self, variant):
+        cfg = tiny_config(variant=variant)
+        assert ([(k, v.shape) for k, v in init_params(cfg).items()]
+                == list(param_shapes(cfg).items()))
 
     def test_deterministic(self):
         cfg = tiny_config()
@@ -243,6 +250,17 @@ class TestCheckpoint:
         x = window(cfg)
         assert np.array_equal(Forecaster(config, params).predict(x),
                               model.predict(x))
+
+    def test_load_draws_no_random_matrices(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        model = Forecaster(cfg)
+        save_checkpoint(tmp_path / "ckpt", model.params, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+        monkeypatch.setattr(Stream, "normal", no_draws)
+        params, _ = load_checkpoint(tmp_path / "ckpt")
+        assert all(np.array_equal(params[k], model.params[k]) for k in params)
 
     def test_vector_params_restore_shape(self, tmp_path):
         cfg = tiny_config()
