@@ -15,7 +15,9 @@ numpy's LAPACK-backed `eigvalsh`, reversed to descending order.
 """
 from __future__ import annotations
 
+import ctypes
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,11 +183,13 @@ class CostSample:
     mechanism: str
     seconds: float               # median wall-time, forward + backward
     score_entries: int           # analytic count, first stage, per head
+    blas_threads: int | None     # BLAS threads in effect, None if unknown
 
     def to_dict(self) -> dict:
         return {"channels": self.channels, "d": self.d, "ratio": self.ratio,
                 "heads": self.heads, "mechanism": self.mechanism,
-                "seconds": self.seconds, "score_entries": self.score_entries}
+                "seconds": self.seconds, "score_entries": self.score_entries,
+                "blas_threads": self.blas_threads}
 
 
 def score_entries(channels: int, ratio: int, mechanism: str) -> int:
@@ -197,13 +201,48 @@ def score_entries(channels: int, ratio: int, mechanism: str) -> int:
     raise ParameterError(f"unknown mechanism '{mechanism}'")
 
 
+# thread-count getter/setter symbol pairs of the OpenBLAS bundled with
+# numpy wheels: numpy 2, then numpy 1
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _openblas_threads():
+    """(get, set) ctypes functions for the thread count of numpy's bundled
+    OpenBLAS, or None when this numpy build bundles none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                getter = getattr(lib, get_name)
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter = getattr(lib, set_name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return getter, setter
+    return None
+
+
+@contextmanager
 def _single_thread_limit():
+    """Hold numpy's bundled OpenBLAS to one thread and restore the previous
+    count on exit; yields the count in effect, or None when it cannot be
+    set on this numpy build."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield None
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
     try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
-    except ImportError:
-        import contextlib
-        return contextlib.nullcontext()
+        yield get()
+    finally:
+        set_(previous)
 
 
 def _attention_pass(channels: int, d: int, queries: int, heads: int,
@@ -217,11 +256,12 @@ def _attention_pass(channels: int, d: int, queries: int, heads: int,
 
     def run_once() -> float:
         tape = Tape()
-        nodes = {name: tape.leaf(val) for name, val in weights.items()}
+        nodes = {name: tape.leaf(val, requires_grad=True)
+                 for name, val in weights.items()}
         h_node = tape.constant(h_val)
-        q_node = tape.leaf(q_val)
+        q_node = tape.leaf(q_val, requires_grad=True)
         start = time.perf_counter()
-        out, _ = _attention(tape, q_node, h_node, h_node,
+        out, _ = _attention(tape, q_node, h_node,
                             nodes["w_q"], nodes["w_k"], nodes["w_v"],
                             nodes["w_o"], heads)
         loss = tape.mean(tape.square(out))
@@ -241,8 +281,9 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
     same width and head count.  Timings are medians over exactly `repeats`
     taped forward+backward passes per mechanism, after discarded warm-ups;
     the two mechanisms' timed passes alternate, so a slow spell on a shared
-    host lands on both and their ratio holds.  Score-entry counts are
-    computed, not measured.
+    host lands on both and their ratio holds.  Both run on one BLAS thread
+    where numpy's bundled OpenBLAS allows it; each sample records the count
+    in effect.  Score-entry counts are computed, not measured.
     """
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
@@ -255,7 +296,7 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
                   "FlatAttention": _attention_pass(channels, d, channels,
                                                    heads, seed)}
         times = {mechanism: [] for mechanism in passes}
-        with _single_thread_limit():
+        with _single_thread_limit() as blas_threads:
             for run_once in passes.values():
                 for _ in range(BENCH_WARMUPS):
                     run_once()
@@ -266,5 +307,6 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
             samples.append(CostSample(
                 channels=channels, d=d, ratio=ratio, heads=heads,
                 mechanism=mechanism, seconds=float(np.median(seconds)),
-                score_entries=score_entries(channels, ratio, mechanism)))
+                score_entries=score_entries(channels, ratio, mechanism),
+                blas_threads=blas_threads))
     return samples

@@ -208,23 +208,6 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def concat_cols(self, parts: list[Node]) -> Node:
-        rows = parts[0].value.shape[:-1]
-        for p in parts:
-            if p.value.shape[:-1] != rows:
-                raise ShapeError("concat_cols: row counts differ")
-        widths = [p.value.shape[-1] for p in parts]
-        out = Node(np.concatenate([p.value for p in parts], axis=-1),
-                   any(p.requires_grad for p in parts))
-
-        def backward(g):
-            j = 0
-            for p, w in zip(parts, widths):
-                _accumulate(p, g[..., j:j + w])
-                j += w
-
-        return self._emit(out, backward)
-
     def row_affine_const(self, m: Node, mul: np.ndarray, shift: np.ndarray) -> Node:
         """out[..., i, :] = m[..., i, :] * mul[..., i] + shift[..., i];
         mul/shift carry no gradient."""

@@ -8,7 +8,8 @@ timing file; all other artifacts are byte-deterministic for a fixed
 invocation.
 
 Exit codes: 0 success; 2 a --assert-paper expectation failed; 64 usage
-error; 66 missing dataset or checkpoint; 70 training diverged.
+error; 66 missing dataset or checkpoint; 70 training diverged or another
+numeric failure.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import analysis
 from .data import (TimeSeriesDataset, WindowBatch, load_csv, sliding_windows,
                    split_chronological, zscore_apply, zscore_fit)
 from .errors import (DataError, FormatError, ParameterError, ShapeError,
-                     UcastError, integral)
+                     UcastError, finite, integral)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, train
@@ -67,13 +68,14 @@ DESK_DEFAULTS = dict(TABLE_DEFAULTS, d=32, ratio=4, batch_size=32, steps=600)
 
 _CONFIG_KEYS = tuple(TABLE_DEFAULTS)
 
-# the type each config value is read as, once, when the config is resolved;
-# the split stays text and is parsed where the series is cut
+# how each config value is read, once, when the config is resolved; the
+# split stays text and is parsed where the series is cut
 _CONFIG_TYPES = {
-    "d": int, "layers": int, "ratio": int, "heads": int, "alpha": float,
-    "eps_cov": float, "variant": str, "horizon": int, "lookback": int,
-    "lr": float, "batch_size": int, "max_epochs": int, "patience": int,
-    "clip_norm": float, "split": str, "steps": int, "snapshot_epochs": str,
+    "d": integral, "layers": integral, "ratio": integral, "heads": integral,
+    "alpha": finite, "eps_cov": finite, "variant": str, "horizon": integral,
+    "lookback": integral, "lr": finite, "batch_size": integral,
+    "max_epochs": integral, "patience": integral, "clip_norm": finite,
+    "split": str, "steps": integral, "snapshot_epochs": str,
 }
 
 
@@ -120,16 +122,9 @@ def _resolve(args, defaults: dict) -> dict:
     for key, value in resolved.items():
         if key == "lookback" and value is None:
             continue
-        convert = _CONFIG_TYPES[key]
-        if convert is int:
-            resolved[key] = integral(f"config value {key}", value)
-            continue
-        try:
-            resolved[key] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(
-                f"config value {key}={value!r} is not a valid "
-                f"{convert.__name__}") from exc
+        read = _CONFIG_TYPES[key]
+        resolved[key] = (str(value) if read is str
+                         else read(f"config value {key}", value))
     if resolved["lookback"] is None:
         resolved["lookback"] = 4 * resolved["horizon"]
     return resolved
@@ -658,7 +653,8 @@ def cmd_bench(args) -> int:
         out = prepare_run_dir(args.out, args.force)
         write_csv(out / "bench.csv",
                   ["channels", "d", "ratio", "heads", "mechanism", "seconds",
-                   "score_entries"], [s.to_dict() for s in samples])
+                   "score_entries", "blas_threads"],
+                  [s.to_dict() for s in samples])
         write_json(out / "config.json", {
             "command": "bench", "seed": args.seed,
             "channels": channels, "d": args.d, "ratio": args.ratio,
@@ -710,8 +706,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UcastError as exc:
+        # a numeric failure: NumericError (non-finite values, or a matrix
+        # that is not positive definite) or ConvergenceError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

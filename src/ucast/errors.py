@@ -1,5 +1,6 @@
 """Exception taxonomy shared by every module in the package."""
 
+import math
 import numbers
 
 
@@ -47,3 +48,12 @@ def integral(name: str, value) -> int:
             or (isinstance(value, float) and value.is_integer())):
         return int(value)
     raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def finite(name: str, value) -> float:
+    """A finite number read from a config file; 0.5 and 2 are accepted,
+    "0.5", true, NaN and Infinity are not."""
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value)):
+        return float(value)
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")

@@ -21,6 +21,7 @@ slots), columns are features, and weights multiply from the right.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,10 +63,12 @@ class UCastConfig:
         if self.d % self.heads != 0:
             raise ParameterError(
                 f"d={self.d} must be divisible by heads={self.heads}")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.eps_cov <= 0:
-            raise ParameterError(f"eps_cov must be > 0, got {self.eps_cov}")
+        if not 0 <= self.alpha < math.inf:
+            raise ParameterError(
+                f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.eps_cov < math.inf:
+            raise ParameterError(
+                f"eps_cov must be finite and > 0, got {self.eps_cov}")
         if self.variant not in VARIANTS:
             raise ParameterError(
                 f"unknown variant '{self.variant}', expected one of {VARIANTS}")
@@ -196,32 +199,64 @@ class ForwardTrace:
         return self.y.value
 
 
-def _attention(tape: Tape, query_rows: Node, key_rows: Node, value_rows: Node,
+def _rows(node: Node) -> int:
+    """Row count of a window, or of every window of a stack together."""
+    return node.value.size // node.value.shape[-1]
+
+
+def _chain(tape: Tape, a: Node, b: Node, c: Node) -> Node:
+    """a @ b @ c for 2-D b and c, in the association with fewer
+    multiplications: (ab)c costs m·p·(n + q), a(bc) costs n·q·(p + m)."""
+    m = _rows(a)
+    n, p = b.value.shape
+    q = c.value.shape[1]
+    if m * p * (n + q) <= n * q * (p + m):
+        return tape.matmul(tape.matmul(a, b), c)
+    return tape.matmul(a, tape.matmul(b, c))
+
+
+def _attention(tape: Tape, query_rows: Node, key_rows: Node,
                w_q: Node, w_k: Node, w_v: Node, w_o: Node, heads: int
                ) -> tuple[Node, np.ndarray]:
-    """Scaled dot-product attention over row sets; returns (output, map).
+    """Scaled dot-product attention of query_rows over key_rows, which are
+    also the values; returns (output, head-averaged map as a plain array).
 
-    The returned map is the head-averaged attention matrix as a plain array.
+    Head h is softmax((X W_q,h)(K W_k,h)^T / sqrt(d_h)) (K W_v,h) W_o,h on
+    its columns of W_q, W_k, W_v and rows of W_o; the heads sum.  The
+    weights multiply only each other or the side with fewer rows: scores
+    are (X W_q,h W_k,h^T) K^T or X (K W_k,h W_q,h^T)^T, the output
+    (A K) W_v,h W_o,h or A (K W_v,h W_o,h), and 1/sqrt(d_h) scales W_q.
+    So an encoder stage never projects the rows its latent bank reads, and
+    a decoder stage never projects its skip rows.
     """
     d = w_q.value.shape[0]
     d_head = d // heads
-    q = tape.matmul(query_rows, w_q)
-    k = tape.matmul(key_rows, w_k)
-    v = tape.matmul(value_rows, w_v)
-    head_outs = []
-    attn_sum = None
+    w_q = tape.scale(w_q, 1.0 / np.sqrt(d_head))
+    if heads > 1:
+        w_o = tape.transpose(w_o)
+    out = None
+    attn_sum = 0.0
     for h in range(heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        q_h = tape.slice_cols(q, lo, hi)
-        k_h = tape.slice_cols(k, lo, hi)
-        v_h = tape.slice_cols(v, lo, hi)
-        scores = tape.scale(tape.matmul(q_h, tape.transpose(k_h)),
-                            1.0 / np.sqrt(d_head))
+        wq, wk, wv, wo = w_q, w_k, w_v, w_o
+        if heads > 1:
+            lo, hi = h * d_head, (h + 1) * d_head
+            wq, wk, wv, wo = (tape.slice_cols(w, lo, hi)
+                              for w in (w_q, w_k, w_v, w_o))
+            wo = tape.transpose(wo)
+        if _rows(query_rows) <= _rows(key_rows):
+            folded = _chain(tape, query_rows, wq, tape.transpose(wk))
+            scores = tape.matmul(folded, tape.transpose(key_rows))
+        else:
+            folded = _chain(tape, key_rows, wk, tape.transpose(wq))
+            scores = tape.matmul(query_rows, tape.transpose(folded))
         attn = tape.softmax_rows(scores)
-        head_outs.append(tape.matmul(attn, v_h))
-        attn_sum = attn.value if attn_sum is None else attn_sum + attn.value
-    merged = head_outs[0] if heads == 1 else tape.concat_cols(head_outs)
-    return tape.matmul(merged, w_o), attn_sum / heads
+        if _rows(attn) <= _rows(key_rows):
+            head_out = _chain(tape, tape.matmul(attn, key_rows), wv, wo)
+        else:
+            head_out = tape.matmul(attn, _chain(tape, key_rows, wv, wo))
+        out = head_out if out is None else tape.add(out, head_out)
+        attn_sum = attn_sum + attn.value
+    return out, attn_sum / heads
 
 
 def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
@@ -239,7 +274,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
     attn_down = []
     for level in range(1, config.layers + 1):
         out, attn = _attention(
-            tape, nodes[f"enc{level}.query"], h, h,
+            tape, nodes[f"enc{level}.query"], h,
             nodes[f"enc{level}.w_q"], nodes[f"enc{level}.w_k"],
             nodes[f"enc{level}.w_v"], nodes[f"enc{level}.w_o"], config.heads)
         h = tape.layer_norm(out, nodes[f"enc{level}.ln_gain"],
@@ -257,7 +292,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
         for level in range(config.layers, 0, -1):
             skip = h_nodes[level - 1]
             out, attn = _attention(
-                tape, skip, u, u,
+                tape, skip, u,
                 nodes[f"dec{level}.w_q"], nodes[f"dec{level}.w_k"],
                 nodes[f"dec{level}.w_v"], nodes[f"dec{level}.w_o"], config.heads)
             u = tape.add(out, skip)

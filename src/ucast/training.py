@@ -49,12 +49,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ParameterError("lr, batch_size, max_epochs must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(
+                f"lr must be finite and positive, got {self.lr}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ParameterError("batch_size, max_epochs must be positive")
         if self.patience < 1:
             raise ParameterError("patience must be >= 1")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ParameterError("clip_norm must be positive or None")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ParameterError(
+                "clip_norm must be finite and positive or None, got "
+                f"{self.clip_norm}")
 
 
 # -- Adam ------------------------------------------------------------------
@@ -78,28 +83,28 @@ class OptimizerState:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], names: list[str],
-                   max_norm: float) -> float:
-    """Scale the update set so its global L2 norm is at most max_norm."""
+                   max_norm: float | None) -> float:
+    """Scale the update set so its global L2 norm is at most max_norm (None
+    leaves it as it is); returns the norm before clipping."""
     total = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
-    if total > max_norm and total > 0.0:
+    if max_norm is not None and total > max_norm and total > 0.0:
         factor = max_norm / total
         for n in names:
             grads[n] = grads[n] * factor
-        return max_norm
     return total
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float,
-              clip_norm: float | None = None) -> None:
-    """One Adam update in place, touching only the state's update set."""
+              clip_norm: float | None = None) -> float:
+    """One Adam update in place, touching only the state's update set;
+    returns the update set's gradient norm before clipping."""
     for name in state.names:
         if name not in grads:
             raise NumericError(f"adam_step: no gradient for '{name}'")
         if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"adam_step: non-finite gradient for '{name}'")
-    if clip_norm is not None:
-        clip_gradients(grads, state.names, clip_norm)
+    norm = clip_gradients(grads, state.names, clip_norm)
     state.step += 1
     b1_corr = 1.0 - ADAM_BETA1 ** state.step
     b2_corr = 1.0 - ADAM_BETA2 ** state.step
@@ -110,6 +115,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m_hat = state.m[name] / b1_corr
         v_hat = state.v[name] / b2_corr
         params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return norm
 
 
 # -- early stopping --------------------------------------------------------
@@ -284,8 +290,8 @@ def train(model: TrainableModel, train_windows: WindowBatch,
             if not math.isfinite(loss):
                 return report.diverge(
                     epoch, f"non-finite training loss at epoch {epoch}")
-            norm = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
-            adam_step(model.params, grads, state, config.lr, config.clip_norm)
+            norm = adam_step(model.params, grads, state, config.lr,
+                             config.clip_norm)
             epoch_loss += loss
             epoch_norm = max(epoch_norm, norm)
             batches += 1

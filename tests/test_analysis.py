@@ -226,6 +226,34 @@ class TestCostModel:
         for queries in (8, 32):
             assert calls.count(queries) == analysis.BENCH_WARMUPS + repeats
 
+    def test_bench_pass_sweeps_the_weights_backward(self, monkeypatch):
+        # the timed pass is forward plus backward, so the tape it sweeps
+        # must hold records to sweep
+        swept = []
+        sweep = analysis.Tape.backward
+
+        def counting(tape, loss):
+            swept.append(len(tape._records))
+            sweep(tape, loss)
+
+        monkeypatch.setattr(analysis.Tape, "backward", counting)
+        analysis._attention_pass(16, 8, 4, 1, 0)()
+        assert len(swept) == 1 and swept[0] > 0
+
+    def test_single_thread_limit_restores_the_count(self):
+        threads = analysis._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS with a settable count")
+        get, set_ = threads
+        before = get()
+        try:
+            set_(2)
+            with analysis._single_thread_limit() as in_effect:
+                assert in_effect == get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_bench_rejects_bad_repeats(self, repeats):
         with pytest.raises(ParameterError):
@@ -237,7 +265,8 @@ class TestCostModel:
 
     def test_bench_csv_round_trip(self, tmp_path):
         sample = CostSample(channels=16, d=8, ratio=4, heads=1,
-                            mechanism="HLQN", seconds=0.25, score_entries=64)
+                            mechanism="HLQN", seconds=0.25, score_entries=64,
+                            blas_threads=1)
         path = tmp_path / "bench.csv"
         write_csv(path, list(sample.to_dict()), [sample.to_dict()])
         with path.open() as fh:

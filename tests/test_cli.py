@@ -13,7 +13,8 @@ from conftest import signed_unstable_spec
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
                        EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, TABLE_DEFAULTS,
                        main)
-from ucast.errors import NumericError
+from ucast import analysis, training
+from ucast.errors import DefinitenessError, NumericError
 from ucast.model import Forecaster
 from ucast.varlab import bayes_risk_sequence, make_var_spec
 
@@ -177,6 +178,29 @@ class TestConfigPrecedence:
         assert code == EXIT_USAGE
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"lr": true}', '{"alpha": "0.5"}', '{"clip_norm": NaN}',
+        '{"lr": NaN}', '{"eps_cov": Infinity}', '{"alpha": -Infinity}'])
+    def test_float_keys_refuse_non_finite_and_non_numbers(self, text,
+                                                          tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "run"
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     "--config", str(cfg_file), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "inf"), ("--lr", "nan"), ("--eps-cov", "inf"),
+        ("--clip-norm", "nan")])
+    def test_float_flags_refuse_non_finite(self, flag, value, capsys):
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     flag, value])
+        assert code == EXIT_USAGE
+        capsys.readouterr()
+
     def test_integral_float_reads_as_integer(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"d": 8, "ratio": 2.0, "horizon": 2,
@@ -319,6 +343,19 @@ class TestDivergence:
         code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN])
         assert code == EXIT_DIVERGED
         assert "validation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [NumericError, DefinitenessError])
+    def test_numeric_failure_at_the_first_step_exits_with_divergence_code(
+            self, error, monkeypatch, capsys):
+        # the first step re-raises instead of reporting a divergence, so the
+        # exit code comes from main's mapping of the error
+        def failing(*args):
+            raise error("covariance is not positive definite")
+
+        monkeypatch.setattr(training, "batch_gradients", failing)
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN])
+        assert code == EXIT_DIVERGED
+        assert "positive definite" in capsys.readouterr().err
 
 
 class TestRisk:
@@ -466,7 +503,11 @@ class TestBench:
             reader = csv.DictReader(fh)
             rows = list(reader)
         assert reader.fieldnames == ["channels", "d", "ratio", "heads",
-                                     "mechanism", "seconds", "score_entries"]
+                                     "mechanism", "seconds", "score_entries",
+                                     "blas_threads"]
+        # one thread wherever numpy bundles an OpenBLAS whose count can be set
+        pinned = "1" if analysis._openblas_threads() else ""
+        assert [r["blas_threads"] for r in rows] == [pinned] * 4
         assert [(r["channels"], r["mechanism"]) for r in rows] == [
             ("8", "HLQN"), ("8", "FlatAttention"),
             ("16", "HLQN"), ("16", "FlatAttention")]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from ucast import model as model_module
 from ucast.errors import FormatError, ParameterError, ShapeError
 from ucast.model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                          cov_loss, init_params, instance_denormalize,
@@ -13,6 +14,7 @@ from ucast.model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                          trainable_names)
 from ucast.autodiff import Tape
 from ucast.rng import Stream
+from ucast.training import batch_gradients
 
 
 def window(cfg, seed=0):
@@ -31,6 +33,12 @@ class TestConfig:
     def test_positivity(self):
         with pytest.raises(ParameterError):
             tiny_config(horizon=0)
+
+    @pytest.mark.parametrize("field", ["alpha", "eps_cov"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            tiny_config(**{field: value})
 
     def test_dict_round_trip(self):
         cfg = tiny_config(alpha=0.5, variant="no_cov")
@@ -235,6 +243,136 @@ class TestLoss:
         nodes = {k: tape.leaf(v) for k, v in model.params.items()}
         with pytest.raises(ShapeError):
             model.build_loss(tape, nodes, window(cfg), np.zeros((2, 2)))
+
+
+def reference_attention(tape, query_rows, key_rows, w_q, w_k, w_v, w_o,
+                        heads):
+    """Attention in its textbook association: project every query and key
+    row through W_q and W_k, every value row through W_v, per-head column
+    slices of those activations, and the concatenated heads through W_o.
+    The concatenation is a sum of products with 0/1 placement matrices,
+    which moves every value unchanged."""
+    d = w_q.value.shape[0]
+    d_head = d // heads
+    q = tape.matmul(query_rows, w_q)
+    k = tape.matmul(key_rows, w_k)
+    v = tape.matmul(key_rows, w_v)
+    merged = None
+    attn_sum = 0.0
+    for h in range(heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        q_h, k_h, v_h = (tape.slice_cols(m, lo, hi) if heads > 1 else m
+                         for m in (q, k, v))
+        scores = tape.scale(tape.matmul(q_h, tape.transpose(k_h)),
+                            1.0 / np.sqrt(d_head))
+        attn = tape.softmax_rows(scores)
+        head_out = tape.matmul(attn, v_h)
+        if heads > 1:
+            place = np.zeros((d_head, d))
+            place[:, lo:hi] = np.eye(d_head)
+            head_out = tape.matmul(head_out, tape.constant(place))
+        merged = head_out if merged is None else tape.add(merged, head_out)
+        attn_sum = attn_sum + attn.value
+    return tape.matmul(merged, w_o), attn_sum / heads
+
+
+def o1_model(variant, heads):
+    """O(1) weights, so the attention maps are far from uniform and the
+    query and key gradients are more than round-off."""
+    model = Forecaster(build_variant(tiny_config(d=8, heads=heads), variant))
+    for i, (name, value) in enumerate(model.params.items()):
+        model.params[name] = value + Stream(i, (86,)).normal(value.shape) * 0.5
+    return model
+
+
+class TestReassociation:
+    """The model's attention against the textbook association."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_gradients_match_reference(self, variant, heads, stacked,
+                                       monkeypatch):
+        model = o1_model(variant, heads)
+        cfg = model.config
+        stream = Stream(4, (54,))
+        x = stream.normal((5, cfg.channels, cfg.lookback))
+        y = stream.normal((5, cfg.channels, cfg.horizon))
+        if not stacked:
+            x, y = x[0], y[0]
+        loss, grads = batch_gradients(model, x, y)
+        monkeypatch.setattr(model_module, "_attention", reference_attention)
+        ref_loss, ref_grads = batch_gradients(model, x, y)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert set(grads) == set(ref_grads)
+        # one bound over all parameters: a block whose gradient is itself
+        # round-off has no meaningful relative error of its own
+        scale = max(float(np.abs(g).max()) for g in ref_grads.values())
+        worst = max(float(np.abs(grads[k] - ref_grads[k]).max())
+                    for k in grads)
+        assert worst <= 1e-10 * scale
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_trace_maps_match_reference(self, heads, monkeypatch):
+        model = o1_model("full", heads)
+        x = window(model.config)
+        trace = model.trace(x)
+        monkeypatch.setattr(model_module, "_attention", reference_attention)
+        ref = model.trace(x)
+        assert np.allclose(trace.prediction, ref.prediction, rtol=1e-12,
+                           atol=1e-14)
+        for got, want in zip(trace.attn_down + trace.attn_up,
+                             ref.attn_down + ref.attn_up):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def weight_products_over_wide_rows(attention, heads, monkeypatch):
+    """Run one stacked forward with `attention` recording the tape's
+    matmuls; list every product, per stage, of a d x d weight (or a head
+    slice of one) with an activation of more rows per window than the
+    smaller of that stage's two row sets."""
+    cfg = UCastConfig(channels=16, lookback=10, horizon=3, d=12, layers=2,
+                      ratio=4, heads=heads)
+    d, d_head = cfg.d, cfg.d // heads
+    weight_shapes = {(d, d), (d, d_head), (d_head, d)}
+    found = []
+    calls = []
+
+    def recording(tape, query_rows, key_rows, *rest):
+        products = []
+        matmul = tape.matmul
+
+        def recorded(a, b):
+            products.append((a.value.shape, b.value.shape))
+            return matmul(a, b)
+
+        tape.matmul = recorded
+        try:
+            result = attention(tape, query_rows, key_rows, *rest)
+        finally:
+            del tape.matmul
+        fewer = min(query_rows.value.shape[-2], key_rows.value.shape[-2])
+        calls.append(products)
+        found.extend((a, b) for a, b in products
+                     if b in weight_shapes and a not in weight_shapes
+                     and a[-2] > fewer)
+        return result
+
+    monkeypatch.setattr(model_module, "_attention", recording)
+    x = Stream(5, (55,)).normal((3, cfg.channels, cfg.lookback))
+    Forecaster(cfg).trace(x)
+    assert len(calls) == 2 * cfg.layers and all(calls)
+    return found
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_no_attention_stage_projects_its_wider_row_set(heads, monkeypatch):
+    assert weight_products_over_wide_rows(model_module._attention, heads,
+                                          monkeypatch) == []
+    # the textbook association does, so the check is not vacuous
+    assert weight_products_over_wide_rows(reference_attention, heads,
+                                          monkeypatch)
 
 
 class TestCheckpoint:

@@ -90,6 +90,12 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(clip_norm=-1.0)
 
+    @pytest.mark.parametrize("field", ["lr", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            TrainConfig(**{field: value})
+
 
 class TestAdam:
     def test_matches_reference_two_steps(self):
@@ -132,10 +138,23 @@ class TestAdam:
 
 class TestClip:
     def test_large_gradient_scaled_to_bound(self):
+        # the returned norm is the one before clipping
         grads = {"a": np.array([3.0, 4.0])}
         returned = clip_gradients(grads, ["a"], 1.0)
-        assert returned == 1.0
+        assert returned == 5.0
         assert np.linalg.norm(grads["a"]) == pytest.approx(1.0)
+
+    def test_no_bound_only_measures(self):
+        grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
+        assert clip_gradients(grads, ["a", "b"], None) == 13.0
+        assert np.array_equal(grads["a"], [3.0, 4.0])
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_adam_step_returns_pre_clip_norm(self, clip_norm):
+        params = {"w": np.zeros(2), "frozen": np.zeros(1)}
+        state = OptimizerState.for_params(params, ["w"])
+        grads = {"w": np.array([3.0, 4.0]), "frozen": np.array([7.0])}
+        assert adam_step(params, grads, state, 0.1, clip_norm) == 5.0
 
     def test_small_gradient_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
