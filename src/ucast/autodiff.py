@@ -28,12 +28,10 @@ class Node:
 
 
 def _accumulate(node: Node, delta: np.ndarray) -> None:
-    if not node.requires_grad:
-        return
-    if node.grad is None:
-        node.grad = np.array(delta, dtype=np.float64, copy=True)
-    else:
-        node.grad += delta
+    """Adopt a node's first delta as it is and add later ones out of place,
+    so a delta may alias another node's gradient: none is written in place."""
+    if node.requires_grad:
+        node.grad = delta if node.grad is None else node.grad + delta
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -262,7 +260,11 @@ class Tape:
 
 
 def gradients(nodes: dict[str, Node]) -> dict[str, np.ndarray]:
-    """Collect leaf gradients after a backward sweep; missing ones are errors."""
+    """Collect leaf gradients after a backward sweep; missing ones are errors.
+
+    A returned gradient may share memory with another one, so callers must
+    not write into it; rebind the name to a new array instead.
+    """
     out = {}
     for name, node in nodes.items():
         if node.grad is None:

@@ -25,10 +25,10 @@ from . import analysis
 from .data import (TimeSeriesDataset, WindowBatch, load_csv, sliding_windows,
                    split_chronological, zscore_apply, zscore_fit)
 from .errors import (DataError, FormatError, ParameterError, ShapeError,
-                     UcastError, finite, integral)
+                     UcastError, finite, integral, text)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
-from .training import TrainConfig, train
+from .training import TrainConfig, evaluate, train
 from .varlab import (VarProcessSpec, bayes_risk_ci_cd, bayes_risk_sequence,
                      make_var_spec, monte_carlo_risks, simulate)
 
@@ -38,45 +38,45 @@ EXIT_USAGE = 64
 EXIT_MISSING_DATA = 66
 EXIT_DIVERGED = 70
 
+_FIT = ("train", "ablate", "sweep")
+
+# every run setting once: its published default, the reader a flag or a
+# config value goes through, and the commands that read it (and so take its
+# flag, and its config key where --config exists); ablate sets the variant
+# itself, and the split stays text until the series is cut
+SETTINGS = {
+    "d": (512, integral, _FIT),
+    "layers": (2, integral, _FIT),
+    "ratio": (16, integral, _FIT),
+    "heads": (1, integral, _FIT),
+    "alpha": (0.01, finite, _FIT),
+    "eps_cov": (1e-4, finite, _FIT),
+    "variant": ("full", text, ("train", "sweep")),
+    "horizon": (8, integral, _FIT),
+    "lookback": (None, integral, _FIT),    # 4 * horizon when absent
+    "lr": (1e-3, finite, _FIT),
+    "batch_size": (128, integral, _FIT),
+    "max_epochs": (100, integral, _FIT),
+    "patience": (5, integral, _FIT),
+    "clip_norm": (5.0, finite, _FIT),
+    "split": ("0.7,0.1,0.2", text, (*_FIT, "eval")),
+    "steps": (400, integral, (*_FIT, "eval")),
+    "snapshot_epochs": ("", text, ("train",)),
+}
+
+_FLAG_HELP = {
+    "split": "train,val,test fractions",
+    "steps": "generated series length for var: data",
+    "snapshot_epochs": "comma list of epochs to export spectra, e.g. 0,final",
+}
+
 # published model/training defaults; CLI flags and config files override
-TABLE_DEFAULTS = {
-    "d": 512,
-    "layers": 2,
-    "ratio": 16,
-    "heads": 1,
-    "alpha": 0.01,
-    "eps_cov": 1e-4,
-    "variant": "full",
-    "horizon": 8,
-    "lookback": None,          # resolved to 4 * horizon when absent
-    "lr": 1e-3,
-    "batch_size": 128,
-    "max_epochs": 100,
-    "patience": 5,
-    "clip_norm": 5.0,
-    "split": "0.7,0.1,0.2",
-    "steps": 400,
-    "snapshot_epochs": "",
-}
+TABLE_DEFAULTS = {name: default for name, (default, _, _) in SETTINGS.items()}
 
-# compact profile for the multi-run commands (ablate, sweep) so a five-way
-# comparison finishes in minutes on one core; single runs keep the published
-# widths unless overridden
-# ablate/sweep shrink width and batch to desk scale; 600 steps keep the
-# 10% validation segment wide enough for a lookback+horizon window
+# ablate/sweep shrink width and batch to desk scale so a five-way comparison
+# finishes in minutes on one core; 600 steps keep the 10% validation segment
+# wide enough for a lookback+horizon window
 DESK_DEFAULTS = dict(TABLE_DEFAULTS, d=32, ratio=4, batch_size=32, steps=600)
-
-_CONFIG_KEYS = tuple(TABLE_DEFAULTS)
-
-# how each config value is read, once, when the config is resolved; the
-# split stays text and is parsed where the series is cut
-_CONFIG_TYPES = {
-    "d": integral, "layers": integral, "ratio": integral, "heads": integral,
-    "alpha": finite, "eps_cov": finite, "variant": str, "horizon": integral,
-    "lookback": integral, "lr": finite, "batch_size": integral,
-    "max_epochs": integral, "patience": integral, "clip_norm": finite,
-    "split": str, "steps": integral, "snapshot_epochs": str,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,37 +97,36 @@ def blob_sha1(data: bytes) -> str:
 
 
 def _resolve(args, defaults: dict) -> dict:
-    """Config precedence: CLI flag > config file > published defaults."""
-    resolved = dict(defaults)
+    """The settings args.command reads, each through its reader, then the
+    run's seed and data.  Precedence: CLI flag > config file > defaults."""
+    resolved = {name: defaults[name] for name, (_, _, commands)
+                in SETTINGS.items() if args.command in commands}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise DataError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # bad JSON, bad encoding, or an integer too long to convert
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError(
                 f"config file must hold a JSON object, got {loaded!r}")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(resolved)
         if unknown:
             raise ParameterError(
-                f"unknown config keys: {sorted(unknown)}")
+                f"unknown config keys for {args.command}: {sorted(unknown)}")
         resolved.update(loaded)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    for key, value in resolved.items():
-        if key == "lookback" and value is None:
-            continue
-        read = _CONFIG_TYPES[key]
-        resolved[key] = (str(value) if read is str
-                         else read(f"config value {key}", value))
-    if resolved["lookback"] is None:
-        resolved["lookback"] = 4 * resolved["horizon"]
-    return resolved
+    for name, value in resolved.items():
+        if getattr(args, name) is not None:
+            value = getattr(args, name)
+        if name == "lookback" and value is None:
+            # SETTINGS lists horizon first, so it has been read already
+            resolved[name] = 4 * resolved["horizon"]
+        else:
+            resolved[name] = SETTINGS[name][1](f"config value {name}", value)
+    return {**resolved, "seed": args.seed, "data": args.data}
 
 
 def prepare_run_dir(out, force: bool) -> Path:
@@ -252,30 +251,21 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="allow writing into an existing run directory")
-    p.add_argument("--config", default=None, help="JSON config file")
 
 
-def _add_model_flags(p: _Parser) -> None:
+def _add_settings(p: _Parser, command: str) -> None:
+    """--data plus one flag per setting the command reads; the fitting
+    commands also take --config."""
     p.add_argument("--data", required=True,
                    help="CSV path or var:<structure>:<channels>[:steps]")
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--ratio", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eps-cov", dest="eps_cov", type=float, default=None)
-    p.add_argument("--lookback", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="generated series length for var: data")
-    p.add_argument("--split", default=None,
-                   help="train,val,test fractions (default 0.7,0.1,0.2)")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
+    for name, (_, read, commands) in SETTINGS.items():
+        if command in commands:
+            p.add_argument("--" + name.replace("_", "-"), default=None,
+                           type={integral: int, finite: float, text: str}[read],
+                           choices=VARIANTS if name == "variant" else None,
+                           help=_FLAG_HELP.get(name))
+    if command in _FIT:
+        p.add_argument("--config", default=None, help="JSON config file")
 
 
 def build_parser() -> _Parser:
@@ -310,23 +300,19 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("train", help="fit a forecaster variant")
-    _add_model_flags(p)
-    p.add_argument("--snapshot-epochs", dest="snapshot_epochs", default=None,
-                   help="comma list of epochs to export spectra, e.g. 0,final")
+    _add_settings(p, "train")
     _add_common(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--split", default=None)
+    _add_settings(p, "eval")
     _add_common(p)
 
     p = sub.add_parser("ablate", help="train every variant on one dataset")
-    _add_model_flags(p)
+    _add_settings(p, "ablate")
     p.add_argument("--assert-paper", action="store_true",
                    help="fail (exit 2) unless full beats each ablation "
-                        "within 5% slack")
+                        "within 5%% slack")
     _add_common(p)
 
     p = sub.add_parser("bench", help="hierarchical vs flat attention cost")
@@ -339,7 +325,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="grid over alpha, ratio, or layers")
-    _add_model_flags(p)
+    _add_settings(p, "sweep")
     p.add_argument("--param", choices=("alpha", "ratio", "layers"),
                    required=True)
     p.add_argument("--values", default=None,
@@ -480,14 +466,13 @@ def _parse_snapshot_epochs(text: str) -> tuple[set[int], bool]:
     return epochs, include_final
 
 
-def _run_training(cfg: dict, out: Path | None, snapshot_spec: str = ""
-                  ) -> tuple[Forecaster, "TrainReport", list[dict]]:
+def cmd_train(args) -> int:
+    cfg = _resolve(args, TABLE_DEFAULTS)
+    out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
-    ucfg = model_config(cfg, ds.n_channels)
-    model = Forecaster(ucfg)
-    cfg["_provenance"] = provenance
-    snap_epochs, snap_final = _parse_snapshot_epochs(snapshot_spec)
+    model = Forecaster(model_config(cfg, ds.n_channels))
+    snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"])
     index_entries: list[dict] = []
     probe = train_w.inputs[0]
 
@@ -505,25 +490,10 @@ def _run_training(cfg: dict, out: Path | None, snapshot_spec: str = ""
         entry = analysis.export_snapshots(
             out / "snapshots", model.trace(probe), report.stopped_epoch)
         index_entries.append(entry)
-    return model, report, index_entries
-
-
-def cmd_train(args) -> int:
-    cfg = _resolve(args, TABLE_DEFAULTS)
-    cfg["seed"] = args.seed
-    cfg["data"] = args.data
-    cfg["variant"] = cfg.get("variant") or "full"
-    out = prepare_run_dir(args.out, args.force) if args.out else None
-    model, report, index_entries = _run_training(
-        cfg, out, args.snapshot_epochs or cfg.get("snapshot_epochs") or "")
     summary = report.summary()
     if out is not None:
-        provenance = cfg.pop("_provenance", {})
-        write_json(out / "config.json", {
-            "command": "train", "seed": args.seed,
-            **{k: cfg[k] for k in _CONFIG_KEYS if k in cfg},
-            "data": cfg["data"], **provenance,
-        })
+        write_json(out / "config.json",
+                   {"command": "train", **cfg, **provenance})
         with open(out / "train_log.jsonl", "w") as fh:
             for row in report.epoch_dicts():
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -547,20 +517,15 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise DataError(f"checkpoint not found: {ckpt}")
     params, ucfg = load_checkpoint(ckpt)
-    cfg = dict(TABLE_DEFAULTS)
-    cfg["lookback"] = ucfg.lookback
-    cfg["horizon"] = ucfg.horizon
-    if args.split is not None:
-        cfg["split"] = args.split
-    steps = args.steps if args.steps is not None else cfg["steps"]
-    ds, provenance = resolve_data(args.data, steps, args.seed)
+    cfg = {**_resolve(args, TABLE_DEFAULTS), "lookback": ucfg.lookback,
+           "horizon": ucfg.horizon}
+    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     if ds.n_channels != ucfg.channels:
         raise ShapeError(
             f"checkpoint expects {ucfg.channels} channels, dataset has "
             f"{ds.n_channels}")
     _, _, test_w = windows_from_dataset(ds, cfg)
     model = Forecaster(ucfg, params)
-    from .training import evaluate
     mse, mae = evaluate(model, test_w)
     print(f"test_mse: {mse}")
     print(f"test_mae: {mae}")
@@ -585,14 +550,15 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     config.json are written.  Returns the rows, or None once a run diverges.
     """
     cfg = _resolve(args, DESK_DEFAULTS)
-    cfg["seed"] = args.seed
-    cfg["data"] = args.data
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
+    # every run's config is checked before the first run trains
+    configs = [model_config({**cfg, **overrides}, ds.n_channels)
+               for _, _, overrides in runs]
     rows = []
-    for label, row, overrides in runs:
-        model = Forecaster(model_config({**cfg, **overrides}, ds.n_channels))
+    for (label, row, _), ucfg in zip(runs, configs):
+        model = Forecaster(ucfg)
         report = train(model, train_w, val_w, test_w, train_config(cfg))
         if report.diverged:
             print(f"{label}: diverged ({report.divergence_note})")
@@ -604,10 +570,7 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     if out is not None:
         write_csv(out / csv_name, [*columns, "test_mse", "test_mae"], rows)
         write_json(out / "config.json", {
-            "command": command, "seed": args.seed, **config_extra,
-            **{k: cfg[k] for k in _CONFIG_KEYS if k in cfg},
-            "data": cfg["data"], **provenance,
-        })
+            "command": command, **config_extra, **cfg, **provenance})
     return rows
 
 

@@ -52,8 +52,19 @@ def integral(name: str, value) -> int:
 
 def finite(name: str, value) -> float:
     """A finite number read from a config file; 0.5 and 2 are accepted,
-    "0.5", true, NaN and Infinity are not."""
-    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value)):
-        return float(value)
+    "0.5", true, NaN, Infinity and integers beyond the float range are
+    not."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
     raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def text(name: str, value) -> str:
+    """A string read from a config file; 3 and null are not read as text."""
+    if isinstance(value, str):
+        return value
+    raise ParameterError(f"{name} must be a string, got {value!r}")

@@ -23,14 +23,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import FormatError, NumericError, ParameterError, ShapeError
-from .linalg import as_matrix, as_stack, cholesky_logdet
+from .errors import (FormatError, NumericError, ParameterError, ShapeError,
+                     finite, integral, text)
+from .linalg import as_stack
 from .rng import Stream
 
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
@@ -73,17 +74,15 @@ class UCastConfig:
             raise ParameterError(
                 f"unknown variant '{self.variant}', expected one of {VARIANTS}")
 
-    def to_dict(self) -> dict:
-        return {
-            "channels": self.channels, "lookback": self.lookback,
-            "horizon": self.horizon, "d": self.d, "layers": self.layers,
-            "ratio": self.ratio, "heads": self.heads, "alpha": self.alpha,
-            "eps_cov": self.eps_cov, "variant": self.variant, "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "UCastConfig":
-        return cls(**d)
+        """Read each value by its field's declared type, with the readers a
+        --config file uses: 8.0 reads as 8, while 8.7, true and "x" are
+        refused.  An unknown key is a KeyError."""
+        by_type = {"int": integral, "float": finite, "str": text}
+        readers = {f.name: by_type[f.type] for f in fields(cls)}
+        return cls(**{k: readers[k](f"config value {k}", v)
+                      for k, v in d.items()})
 
 
 def build_variant(config: UCastConfig, variant: str) -> UCastConfig:
@@ -311,14 +310,6 @@ def _check_finite(node: Node, stage: str) -> None:
         raise NumericError(f"non-finite activations after {stage}")
 
 
-def cov_loss(h: np.ndarray, eps: float = DEFAULT_EPS_COV) -> float:
-    """-(1/C') log det((1/d) H H^T + eps I) for a plain array."""
-    h = as_matrix(h, "cov_loss input")
-    c_rows, d = h.shape
-    sigma = (h @ h.T) / d
-    return -cholesky_logdet(sigma + eps * np.eye(c_rows)) / c_rows
-
-
 def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:
     """Mean-squared error on the de-normalized scale plus the weighted mean
     covariance penalty over compression stages, averaged over a stack."""
@@ -378,7 +369,7 @@ def save_checkpoint(directory, params: ModelParams, config: UCastConfig) -> None
         arr = np.asarray(value, dtype=np.float64)
         shapes[name] = list(arr.shape)
         np.save(directory / f"{name}.npy", arr)
-    manifest = {"format": CHECKPOINT_FORMAT, "config": config.to_dict(),
+    manifest = {"format": CHECKPOINT_FORMAT, "config": asdict(config),
                 "shapes": shapes}
     (directory / CHECKPOINT_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ucast.model import UCastConfig
 from ucast.rng import Stream
@@ -37,6 +40,34 @@ def tiny_config(**overrides) -> UCastConfig:
                 heads=1, alpha=0.1, eps_cov=1e-4, seed=0)
     base.update(overrides)
     return UCastConfig(**base)
+
+
+# every scalar a JSON file can hold, non-finite floats and integers beyond
+# the float range included
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.integers(2 ** 1023, 2 ** 1100), st.text(max_size=6))
+REFUSED = object()
+
+
+def read_as(kind: str, value):
+    """The value a setting declared "int", "float" or "str" reads from a JSON
+    scalar, with its exact type, or REFUSED: 8.0 reads as the int 8, while
+    8.7, true, "8", null and non-finite numbers are refused."""
+    if kind == "str":
+        return value if type(value) is str else REFUSED
+    if type(value) is int and kind == "int":
+        return value
+    if type(value) not in (int, float):
+        return REFUSED
+    try:
+        number = float(value)
+    except OverflowError:
+        return REFUSED
+    if not math.isfinite(number):
+        return REFUSED
+    if kind == "float":
+        return number
+    return int(number) if number.is_integer() else REFUSED
 
 
 @pytest.fixture

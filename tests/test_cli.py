@@ -1,20 +1,25 @@
 """End-to-end command line behavior, exit codes, and artifact determinism."""
+import contextlib
 import csv
+import io
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import signed_unstable_spec
+from conftest import JSON_SCALARS, REFUSED, read_as, signed_unstable_spec
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
-                       EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, TABLE_DEFAULTS,
-                       main)
-from ucast import analysis, training
-from ucast.errors import DefinitenessError, NumericError
+                       EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, SETTINGS,
+                       TABLE_DEFAULTS, main)
+from ucast import analysis, cli, training
+from ucast.errors import (DefinitenessError, NumericError, finite, integral,
+                          text)
 from ucast.model import Forecaster
 from ucast.varlab import bayes_risk_sequence, make_var_spec
 
@@ -28,6 +33,15 @@ def read_bytes_map(out_dir, skip=("timing.json",)):
         if path.is_file() and path.name not in skip:
             files[str(path.relative_to(out_dir))] = path.read_bytes()
     return files
+
+
+class Resolved(Exception):
+    """Stops a run once its settings are resolved."""
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +113,28 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth"],
+        ["risk", "--structure", "anti_self", "--channels", "2"],
+        ["eval", "--checkpoint", "ckpt", "--data", "var:independent:4:120"],
+        ["bench", "--channels", "8"],
+    ], ids=["synth", "risk", "eval", "bench"])
+    def test_config_only_where_read(self, argv, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("{}")
+        assert main([*argv, "--config", str(cfg_file)]) == EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ablate", "--variant=no_cov"), ("ablate", "--snapshot-epochs=0"),
+        ("sweep", "--snapshot-epochs=0")])
+    def test_setting_flag_only_where_read(self, command, flag, capsys):
+        extra = ["--param", "alpha"] if command == "sweep" else []
+        code = main([command, "--data", "var:anti_self:4:100", *TINY_TRAIN,
+                     *extra, flag])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMissingData:
     def test_missing_csv(self, capsys):
@@ -156,15 +192,72 @@ class TestConfigPrecedence:
         assert code == EXIT_USAGE
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_config_file_must_be_json(self, tmp_path, capsys):
-        # not JSON, not an object, then values of the wrong type
+    @pytest.mark.parametrize("command, key, value", [
+        ("ablate", "variant", "no_cov"), ("ablate", "snapshot_epochs", "0"),
+        ("sweep", "snapshot_epochs", "0")])
+    def test_config_key_only_where_read(self, command, key, value, tmp_path,
+                                        capsys):
         cfg_file = tmp_path / "cfg.json"
-        for text in ("lr: 0.005", "null", '{"clip_norm": null}',
-                     '{"lr": "fast"}', '{"heads": "two"}'):
-            cfg_file.write_text(text)
+        cfg_file.write_text(json.dumps({key: value}))
+        extra = ["--param", "alpha"] if command == "sweep" else []
+        code = main([command, "--data", "var:anti_self:4:100", *TINY_TRAIN,
+                     *extra, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"unknown config keys for {command}: ['{key}']" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["train", "ablate", "sweep"]),
+           key=st.sampled_from([*SETTINGS, "learning_rate"]),
+           value=JSON_SCALARS)
+    def test_any_config_scalar_is_read_or_refused(self, config_file, command,
+                                                  key, value):
+        # the run stops where the series would be cut, once every setting
+        # has been read
+        config_file.write_text(json.dumps({key: value}))
+        argv = [command, "--data", "var:independent:4:120",
+                "--config", str(config_file)]
+        if command == "sweep":
+            argv += ["--param", "alpha"]
+        seen, err = {}, io.StringIO()
+
+        def stop(ds, cfg):
+            seen.update(cfg)
+            raise Resolved
+
+        with mock.patch.object(cli, "windows_from_dataset", stop), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Resolved:
+                code = None
+        if key not in SETTINGS or command not in SETTINGS[key][2]:
+            assert code == EXIT_USAGE
+            assert "unknown config keys" in err.getvalue()
+            return
+        kind = {integral: "int", finite: "float", text: "str"}[SETTINGS[key][1]]
+        expected = read_as(kind, value)
+        if key == "lookback" and value is None:
+            expected = 4 * seen["horizon"]
+        if expected is REFUSED:
+            assert code == EXIT_USAGE
+            assert f"config value {key}" in err.getvalue()
+        else:
+            assert code is None, err.getvalue()
+            assert seen[key] == expected and type(seen[key]) is type(expected)
+
+    def test_config_file_must_be_json(self, tmp_path, capsys):
+        # not JSON, not UTF-8, an integer too long for Python to convert,
+        # not an object, then values of the wrong type
+        cfg_file = tmp_path / "cfg.json"
+        for data in (b"lr: 0.005", b"\xff\xfe{}",
+                     b'{"d": ' + b"9" * 5000 + b"}", b"null",
+                     b'{"clip_norm": null}', b'{"lr": "fast"}',
+                     b'{"heads": "two"}'):
+            cfg_file.write_bytes(data)
             code = main(["train", "--data", "var:independent:4:120",
                          *TINY_TRAIN, "--config", str(cfg_file)])
-            assert code == EXIT_USAGE, text
+            assert code == EXIT_USAGE, data[:20]
             capsys.readouterr()
 
     @pytest.mark.parametrize("key, value", [("d", 8.7), ("heads", True)])
@@ -277,6 +370,22 @@ class TestTrainArtifacts:
                      "--data", "var:independent:4:120"])
         assert code == EXIT_USAGE
         assert "f_pred" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("heads", True), ("d", 8.7), ("seed", "x"), ("alpha", True)])
+    def test_eval_refuses_mistyped_manifest_config(self, key, value,
+                                                   train_run, tmp_path,
+                                                   capsys):
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        assert f"config value {key}" in capsys.readouterr().err
 
     def test_eval_checkpoint_missing_a_parameter_file(self, train_run,
                                                       tmp_path, capsys):
@@ -491,6 +600,15 @@ class TestAblateAndSweep:
                      "--param", "ratio", "--values", "2,x"])
         assert code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("param, values", [
+        ("alpha", "0,0.5,inf"), ("ratio", "2,0")])
+    def test_sweep_checks_every_value_before_training(self, param, values,
+                                                      capsys):
+        code = main(["sweep", "--data", "var:anti_self:4:100", *TINY_TRAIN,
+                     "--param", param, "--values", values])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestBench:

@@ -1,17 +1,18 @@
 """Forecaster architecture invariants and checkpoint round-trips."""
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_config
+from conftest import JSON_SCALARS, REFUSED, read_as, tiny_config
 from ucast import model as model_module
 from ucast.errors import FormatError, ParameterError, ShapeError
 from ucast.model import (Forecaster, UCastConfig, VARIANTS, build_variant,
-                         cov_loss, init_params, instance_denormalize,
-                         instance_normalize, ladder_sizes, load_checkpoint,
-                         param_shapes, save_checkpoint, total_loss,
-                         trainable_names)
+                         init_params, instance_denormalize, instance_normalize,
+                         ladder_sizes, load_checkpoint, param_shapes,
+                         save_checkpoint, total_loss, trainable_names)
 from ucast.autodiff import Tape
 from ucast.rng import Stream
 from ucast.training import batch_gradients
@@ -19,6 +20,14 @@ from ucast.training import batch_gradients
 
 def window(cfg, seed=0):
     return Stream(seed, (51,)).normal((cfg.channels, cfg.lookback))
+
+
+def logdet_penalty(h, eps):
+    """-(1/C') log det((1/d) H H^T + eps I) from numpy's slogdet."""
+    rows, d = h.shape
+    sign, logdet = np.linalg.slogdet(h @ h.T / d + eps * np.eye(rows))
+    assert sign > 0
+    return -logdet / rows
 
 
 class TestConfig:
@@ -42,7 +51,24 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = tiny_config(alpha=0.5, variant="no_cov")
-        assert UCastConfig.from_dict(cfg.to_dict()) == cfg
+        assert UCastConfig.from_dict(asdict(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(fields(UCastConfig)), value=JSON_SCALARS)
+    def test_any_manifest_scalar_is_read_or_refused(self, field, value):
+        # a ParameterError passes through load_checkpoint and exits 64
+        stored = asdict(tiny_config())
+        stored[field.name] = json.loads(json.dumps(value))
+        expected = read_as(field.type, value)
+        try:
+            cfg = UCastConfig.from_dict(stored)
+        except ParameterError as exc:
+            assert (expected is not REFUSED
+                    or f"config value {field.name}" in str(exc))
+            return
+        assert expected is not REFUSED
+        got = getattr(cfg, field.name)
+        assert got == expected and type(got) is type(expected)
 
     def test_build_variant(self):
         base = tiny_config()
@@ -228,7 +254,8 @@ class TestLoss:
         x = window(cfg)
         target = np.zeros((cfg.channels, cfg.horizon))
         trace = model.trace(x)
-        pens = [cov_loss(h.value, cfg.eps_cov) for h in trace.h_nodes[1:]]
+        pens = [logdet_penalty(h.value, cfg.eps_cov)
+                for h in trace.h_nodes[1:]]
         expected = float(np.mean((trace.prediction - target) ** 2)
                          + cfg.alpha * np.mean(pens))
         tape = Tape()
@@ -407,6 +434,14 @@ class TestCheckpoint:
         params, _ = load_checkpoint(tmp_path / "ckpt")
         assert params["enc1.ln_gain"].shape == model.params["enc1.ln_gain"].shape
 
+    def test_integral_float_in_manifest_reads_as_integer(self, tmp_path):
+        path, manifest = self._saved_manifest(tmp_path)
+        manifest["config"]["d"] = 8.0
+        path.write_text(json.dumps(manifest))
+        assert '"d": 8.0' in path.read_text()
+        _, cfg = load_checkpoint(path.parent)
+        assert cfg.d == 8 and type(cfg.d) is int
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nothing")
@@ -495,8 +530,7 @@ class TestCheckpoint:
 
 def test_cov_loss_matches_logdet():
     h = Stream(11, (54,)).normal((4, 9))
-    eps = 1e-3
-    sigma = h @ h.T / 9 + eps * np.eye(4)
-    sign, logdet = np.linalg.slogdet(sigma)
-    assert sign > 0
-    assert cov_loss(h, eps) == pytest.approx(-logdet / 4, rel=1e-10)
+    tape = Tape()
+    penalty = tape.cov_penalty(tape.constant(h), 1e-3)
+    assert float(penalty.value) == pytest.approx(logdet_penalty(h, 1e-3),
+                                                 rel=1e-10)
