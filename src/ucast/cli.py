@@ -404,8 +404,18 @@ def _risk_spec(args) -> VarProcessSpec:
 
 
 def cmd_risk(args) -> int:
-    spec = _risk_spec(args)
-    report = bayes_risk_sequence(spec, target=args.target)
+    try:
+        spec = _risk_spec(args)
+        report = bayes_risk_sequence(spec, target=args.target)
+        pair = bayes_risk_ci_cd(spec, target=args.target) if spec.C == 2 else None
+        mc = (monte_carlo_risks(spec, n_samples=args.mc, target=args.target)
+              if args.mc > 0 else None)
+    except MemoryError as exc:
+        # the oracles hold a few C x C matrices and one block of samples,
+        # so only the channel count can exhaust memory
+        raise ParameterError(
+            "risk: the VAR spec's C x C matrices do not fit in memory; "
+            "use fewer channels") from exc
     print(f"structure {spec.structure}  C={spec.C}  target channel "
           f"{args.target}")
     print(f"Var(Y) = {report.var_y:.6f}  noise floor = "
@@ -413,13 +423,11 @@ def cmd_risk(args) -> int:
     print("  p      risk       gap")
     for p, (risk, gap) in enumerate(zip(report.risks, report.gaps), start=1):
         print(f"{p:4d}  {risk:10.6f}  {gap:9.6f}")
-    if spec.C == 2:
-        pair = bayes_risk_ci_cd(spec, target=args.target)
+    if pair is not None:
         print(f"two-channel closed form: r_ci {pair.r_ci:.6f}  "
               f"r_cd {pair.r_cd:.6f}  gap {pair.gap:.6f}")
     mc_rows = None
-    if args.mc > 0:
-        mc = monte_carlo_risks(spec, n_samples=args.mc, target=args.target)
+    if mc is not None:
         mc_rows = []
         print("  p   closed      sampled     |delta|")
         for p, risk in enumerate(report.risks, start=1):

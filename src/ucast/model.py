@@ -61,6 +61,11 @@ class UCastConfig:
                      "heads"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers > self.channels:
+            # past log_r C every stage is one latent slot, so a deeper ladder
+            # only adds cost, which a huge value would make unbounded
+            raise ParameterError(
+                f"layers={self.layers} exceeds channels={self.channels}")
         if self.d % self.heads != 0:
             raise ParameterError(
                 f"d={self.d} must be divisible by heads={self.heads}")

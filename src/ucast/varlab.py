@@ -16,6 +16,7 @@ predictor collapses to the noise floor sigma_tt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,17 @@ RADIUS_ITERS = 200
 RADIUS_TOL = 1e-8
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_DOUBLINGS = 64
-# sample rows scored per product in monte_carlo_risks: the residuals are
-# held one MC_BLOCK_ROWS x C block at a time, never n x C
+# sample rows drawn and scored per product in monte_carlo_risks: the draws
+# and the residuals are held one MC_BLOCK_ROWS x C block at a time, so its
+# memory does not grow with the sample count
 MC_BLOCK_ROWS = 4096
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VarProcessSpec:
+    """An immutable VAR(1) process: A and noise_diag are private read-only
+    copies, so the stationary law computed from them once stays valid."""
+
     structure: str
     C: int
     A: np.ndarray
@@ -47,20 +52,43 @@ class VarProcessSpec:
     def __post_init__(self):
         if self.structure not in STRUCTURES:
             raise ParameterError(f"unknown structure {self.structure!r}")
-        self.A = as_matrix(self.A, "A")
-        if self.A.shape != (self.C, self.C):
-            raise ShapeError(f"A shape {self.A.shape} vs C={self.C}")
-        self.noise_diag = np.asarray(self.noise_diag, dtype=np.float64).reshape(-1)
-        if self.noise_diag.shape[0] != self.C:
-            raise ShapeError(f"noise_diag length {self.noise_diag.shape[0]} vs C={self.C}")
-        if not np.all(np.isfinite(self.A)):
+        a = as_matrix(np.array(self.A, dtype=np.float64, order="C"), "A")
+        if a.shape != (self.C, self.C):
+            raise ShapeError(f"A shape {a.shape} vs C={self.C}")
+        noise = np.array(self.noise_diag, dtype=np.float64).reshape(-1)
+        if noise.shape[0] != self.C:
+            raise ShapeError(f"noise_diag length {noise.shape[0]} vs C={self.C}")
+        if not np.all(np.isfinite(a)):
             raise ParameterError("A has non-finite entries")
-        if not np.all((self.noise_diag > 0) & np.isfinite(self.noise_diag)):
+        if not np.all((noise > 0) & np.isfinite(noise)):
             raise ParameterError("noise variances must be positive and finite")
+        for name, value in (("A", a), ("noise_diag", noise)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def noise_cov(self) -> np.ndarray:
         return np.diag(self.noise_diag)
+
+    @cached_property
+    def stationary_cov(self) -> np.ndarray:
+        """S from `stationary_covariance`, computed on first use only."""
+        s = stationary_covariance(self)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def stationary_chol(self) -> np.ndarray:
+        """L with S = L L^T.  S >= Q = diag(noise) > 0, so a failed
+        factorization means S itself is wrong; it is reported as
+        DefinitenessError, not numpy's LinAlgError."""
+        try:
+            chol = np.linalg.cholesky(self.stationary_cov)
+        except np.linalg.LinAlgError as exc:
+            raise DefinitenessError(
+                f"stationary covariance is not positive definite: {exc}") from exc
+        chol.flags.writeable = False
+        return chol
 
     def to_dict(self) -> dict:
         return {
@@ -226,7 +254,7 @@ def bayes_risk_ci_cd(spec: VarProcessSpec, target: int = 0) -> RiskPair:
     if target not in (0, 1):
         raise ParameterError(f"target must be 0 or 1, got {target}")
     other = 1 - target
-    s = stationary_covariance(spec)
+    s = spec.stationary_cov
     sigma_t = float(spec.noise_diag[target])
     var_cond = float(s[other, other] - s[target, other] ** 2 / s[target, target])
     a_cross = float(spec.A[target, other])
@@ -251,19 +279,10 @@ class RiskReport:
 
 def _whitened(spec: VarProcessSpec, target: int
               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y).
-
-    S >= Q = diag(noise) > 0, so a failed factorization means S itself is
-    wrong; it is reported as DefinitenessError, not numpy's LinAlgError.
-    """
+    """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y)."""
     if not (0 <= target < spec.C):
         raise ParameterError(f"target {target} out of range for C={spec.C}")
-    s = stationary_covariance(spec)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(
-            f"stationary covariance is not positive definite: {exc}") from exc
+    s, chol = spec.stationary_cov, spec.stationary_chol
     a_t = spec.A[target]
     var_y = float(a_t @ s @ a_t + spec.noise_diag[target])
     return chol, np.linalg.solve(chol, a_t @ s), var_y
@@ -294,19 +313,23 @@ def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
     coefficient matrix is the first p columns of the upper-triangular L^{-T}
     times w_1..p, so every residual y - z_t[:p] . coeffs_p is
     g . L^T (A_target - coeffs_p) + eps, and all subset sizes are scored by
-    one product per row block.
+    one product per row block.  g and eps are drawn in the same row blocks,
+    so the call holds O(MC_BLOCK_ROWS x C + C^2) values whatever n_samples.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     chol, w, _ = _whitened(spec, target)
     stream = Stream(seed, (_structure_id(spec.structure), spec.C, 13))
-    draws = stream.normal((n_samples, spec.C))
-    eps = stream.normal(n_samples) * np.sqrt(spec.noise_diag[target])
+    draws = stream.normal_blocks(n_samples, spec.C, MC_BLOCK_ROWS)
+    eps = stream.normal_blocks(n_samples, 1, MC_BLOCK_ROWS)
+    scale = np.sqrt(spec.noise_diag[target])
     coeffs = np.cumsum(np.linalg.inv(chol).T * w, axis=1)
     weights = chol.T @ (spec.A[target][:, None] - coeffs)
+    resid = np.empty((min(n_samples, MC_BLOCK_ROWS), spec.C))
     sq_sum = np.zeros(spec.C)
-    for lo in range(0, n_samples, MC_BLOCK_ROWS):
-        resid = draws[lo:lo + MC_BLOCK_ROWS] @ weights
-        resid += eps[lo:lo + MC_BLOCK_ROWS, None]
-        sq_sum += np.einsum("ij,ij->j", resid, resid)
+    for g in draws:
+        block = np.matmul(g, weights, out=resid[:len(g)])
+        del g  # so that one block of draws is alive at a time
+        block += next(eps) * scale
+        sq_sum += np.einsum("ij,ij->j", block, block)
     return {p: float(v / n_samples) for p, v in enumerate(sq_sum, start=1)}

@@ -107,6 +107,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "batch of 16 windows" in err and "--batch-size" in err
 
+    @pytest.mark.parametrize("layers", [5, 10**9])
+    def test_layers_beyond_channels(self, layers, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"layers": layers}))
+        for extra in (["--layers", str(layers)], ["--config", str(cfg_file)]):
+            code = main(["train", "--data", "var:independent:4:120",
+                         *TINY_TRAIN, *extra])
+            assert code == EXIT_USAGE, extra
+            assert f"layers={layers} exceeds channels=4" in capsys.readouterr().err
+
     def test_bad_snapshot_epoch(self, capsys):
         code = main(["train", "--data", "var:independent:4:120",
                      *TINY_TRAIN, "--snapshot-epochs", "zero"])
@@ -387,6 +397,19 @@ class TestTrainArtifacts:
         assert code == EXIT_USAGE
         assert f"config value {key}" in capsys.readouterr().err
 
+    def test_eval_refuses_manifest_layers_beyond_channels(self, train_run,
+                                                          tmp_path, capsys):
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"]["layers"] = 10**9
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        assert "exceeds channels=4" in capsys.readouterr().err
+
     def test_eval_checkpoint_missing_a_parameter_file(self, train_run,
                                                       tmp_path, capsys):
         _, out, _ = train_run
@@ -488,6 +511,19 @@ class TestRisk:
         stored = json.loads((out / "config.json").read_text())
         assert all(np.isfinite(r["sampled"]) for r in stored["monte_carlo"])
         assert "sampled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["make_var_spec", "bayes_risk_sequence",
+                                      "monte_carlo_risks"])
+    def test_out_of_memory_is_usage_error(self, name, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+        monkeypatch.setattr(cli, name, out_of_memory)
+        code = main(["risk", "--structure", "anti_self", "--channels", "3",
+                     "--mc", "100"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "do not fit in memory" in captured.err
 
     def test_spec_file_round_trip(self, tmp_path, capsys):
         spec = make_var_spec("independent", 3, seed=4)

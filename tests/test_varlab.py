@@ -6,6 +6,7 @@ package's doubling iteration.  The risk oracles, which work from one
 Cholesky factor, are checked against one linear solve per subset size.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_stable_spec, signed_unstable_spec
 from ucast import varlab
 from ucast.errors import DefinitenessError, ParameterError, ShapeError
-from ucast.rng import Stream
+from ucast.rng import BLOCK_PAIRS, Stream
 from ucast.varlab import (DEFAULT_TARGET_RADIUS, MC_BLOCK_ROWS, STRUCTURES,
                           VarProcessSpec, bayes_risk_ci_cd,
                           bayes_risk_sequence, make_var_spec,
@@ -185,6 +186,20 @@ class TestSpecValidation:
         back = VarProcessSpec.from_dict(spec.to_dict())
         assert np.array_equal(back.A, spec.A)
         assert back.structure == spec.structure and back.seed == spec.seed
+
+    def test_immutable(self):
+        a, noise = np.full((2, 2), 0.25), np.ones(2)
+        spec = VarProcessSpec(structure="custom", C=2, A=a, noise_diag=noise)
+        a[0, 0], noise[0] = 9.0, 9.0
+        assert spec.A[0, 0] == 0.25 and spec.noise_diag[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.A[0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            spec.noise_diag[1] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.A = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.stationary_chol[0, 0] = 1.0
 
 
 class TestSimulate:
@@ -367,6 +382,23 @@ class TestMonteCarlo:
         for p in want:
             assert got[p] == pytest.approx(want[p], rel=1e-12)
 
+    def test_memory_does_not_grow_with_samples(self):
+        c = 128
+        peaks = []
+        for n_samples in (20_000, 200_000):
+            spec = make_var_spec("anti_self", c, seed=1, target_radius=0.995)
+            tracemalloc.start()
+            try:
+                monte_carlo_risks(spec, n_samples=n_samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block of draws, the residual block, the Box-Muller buffers and
+        # a few C x C matrices; the 20,000 x C draws alone are 20.5 MB
+        bound = 8 * (2 * MC_BLOCK_ROWS * c + 2 * BLOCK_PAIRS + 16 * c * c)
+        assert max(peaks) < bound
+        assert abs(peaks[1] - peaks[0]) < 2**16
+
     def test_validation(self):
         spec = random_stable_spec(2, 0)
         with pytest.raises(ParameterError):
@@ -374,6 +406,20 @@ class TestMonteCarlo:
         for target in (-1, 2):
             with pytest.raises(ParameterError, match="target"):
                 monte_carlo_risks(spec, n_samples=10, target=target)
+
+
+def test_stationary_law_computed_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return stationary_covariance(spec)
+    monkeypatch.setattr(varlab, "stationary_covariance", counted)
+    spec = random_stable_spec(2, 3)
+    bayes_risk_sequence(spec, target=1)
+    monte_carlo_risks(spec, n_samples=10, target=0)
+    bayes_risk_ci_cd(spec, target=1)
+    assert calls == [spec]
 
 
 @pytest.mark.parametrize("oracle", [
