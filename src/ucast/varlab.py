@@ -206,23 +206,33 @@ def stationary_covariance(spec: VarProcessSpec) -> np.ndarray:
 
     After k doublings S holds sum_{j < 2^k} A^j Q (A^j)^T; one step adds the
     next 2^k terms as A_k S A_k^T and squares A_k = A^(2^k), stopping once
-    that increment falls to STATIONARY_TOL (R. A. Smith, SIAM J. Appl. Math.
-    16(1), 1968).  The series converges only when every eigenvalue of A lies
-    inside the unit circle, checked with numpy's eigenvalues, which unlike
-    the power iteration hold for signed A too.
+    that increment falls to STATIONARY_TOL relative to min(1, max|S|)
+    (R. A. Smith, SIAM J. Appl. Math. 16(1), 1968).  The series converges
+    only when every eigenvalue of A lies inside the unit circle.  The
+    doubling proves that itself: it returns only once ||A_k||_F < 1 too,
+    since every matrix norm bounds the spectral radius, rho(A)^(2^k) <=
+    ||A_k||_F.  Only when no doubling proves it (all of them run, or an
+    increment turns non-finite) does numpy's eigvals, which unlike the power
+    iteration holds for signed A too, name the radius in the error.
     """
+    s = spec.noise_cov
+    a = spec.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STATIONARY_MAX_DOUBLINGS):
+            step = a @ s @ a.T
+            s = s + step
+            change = float(np.abs(step).max())
+            if not np.isfinite(change):
+                break
+            # S is positive semidefinite, so max|S| is on its diagonal
+            if (change <= STATIONARY_TOL * min(1.0, float(s.diagonal().max()))
+                    and np.linalg.norm(a) < 1.0):
+                return 0.5 * (s + s.T)
+            a = a @ a
     radius = float(np.abs(np.linalg.eigvals(spec.A)).max())
     if radius >= 1.0:
         raise ParameterError(
             f"stationary covariance needs spectral radius < 1, measured {radius:.4f}")
-    s = spec.noise_cov
-    a = spec.A
-    for _ in range(STATIONARY_MAX_DOUBLINGS):
-        step = a @ s @ a.T
-        s = s + step
-        if float(np.abs(step).max()) <= STATIONARY_TOL:
-            return 0.5 * (s + s.T)
-        a = a @ a
     raise ConvergenceError(
         f"stationary covariance did not reach {STATIONARY_TOL} in "
         f"{STATIONARY_MAX_DOUBLINGS} doublings; radius {radius!r} is too "

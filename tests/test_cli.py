@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,8 @@ from ucast import analysis, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
 from ucast.model import Forecaster
-from ucast.varlab import bayes_risk_sequence, make_var_spec
+from ucast.varlab import (VarProcessSpec, bayes_risk_sequence,
+                          make_var_spec)
 
 TINY_TRAIN = ["--d", "8", "--ratio", "2", "--horizon", "2",
               "--max-epochs", "2", "--batch-size", "16", "--patience", "5"]
@@ -560,11 +562,38 @@ class TestRisk:
         assert "error:" in captured.err
         assert captured.out == ""
 
-    def test_signed_unstable_spec_is_usage_error(self, tmp_path, capsys):
+    @staticmethod
+    def assert_quiet_usage_error(spec, tmp_path, capsys):
+        """`ucast risk` on the spec exits 64 naming the radius, with empty
+        stdout and no warning."""
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(signed_unstable_spec().to_dict()))
-        assert main(["risk", "--spec-file", str(spec_path)]) == EXIT_USAGE
-        assert "spectral radius < 1" in capsys.readouterr().err
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["risk", "--spec-file", str(spec_path)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral radius < 1" in captured.err
+
+    def test_signed_unstable_spec_is_usage_error(self, tmp_path, capsys):
+        # its powers overflow before the radius is measured
+        self.assert_quiet_usage_error(signed_unstable_spec(), tmp_path, capsys)
+
+    @pytest.mark.parametrize("a", [np.eye(3), np.array([[0.0, -1.0],
+                                                          [1.0, 0.0]])],
+                             ids=["identity", "rotation"])
+    def test_unit_radius_spec_is_usage_error(self, a, tmp_path, capsys):
+        # powers that never shrink and never overflow
+        spec = VarProcessSpec("custom", len(a), a, np.ones(len(a)))
+        self.assert_quiet_usage_error(spec, tmp_path, capsys)
+
+    def test_explosive_target_radius_is_usage_error(self, capsys):
+        assert main(["risk", "--structure", "anti_self", "--channels", "4",
+                     "--target-radius", "1.05"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral radius < 1, measured 1.0500" in captured.err
 
 
 class TestSynth:

@@ -277,6 +277,54 @@ class TestStationaryCovariance:
         with pytest.raises(ParameterError, match="1.0020"):
             stationary_covariance(spec)
 
+    @pytest.mark.parametrize("q", [1e-20, 1e-8])
+    def test_tiny_noise_matches_kronecker_solve(self, q):
+        # an absolute stopping tolerance stops after one doubling here,
+        # at S = 1.98 q I instead of q / (1 - 0.99^2) I = 50.25 q I
+        a = 0.99 * np.eye(3)
+        spec = VarProcessSpec(structure="custom", C=3, A=a,
+                              noise_diag=np.full(3, q))
+        s = stationary_covariance(spec)
+        assert np.allclose(s, kron_stationary(a, spec.noise_cov),
+                           rtol=1e-8, atol=0)
+        assert np.allclose(np.diag(s), q / (1 - 0.99 ** 2), rtol=1e-9, atol=0)
+        assert np.all(s[~np.eye(3, dtype=bool)] == 0.0)
+
+    def test_success_path_makes_no_eigensolve(self, monkeypatch):
+        specs = [make_var_spec("anti_self", 128, seed=0, target_radius=0.995),
+                 make_var_spec("independent", 16, seed=1)]
+
+        def refused(a):
+            raise AssertionError("eigvals called on the success path")
+        monkeypatch.setattr(varlab.np.linalg, "eigvals", refused)
+        for spec in specs:
+            report = bayes_risk_sequence(spec)
+            assert np.all(np.isfinite(report.risks))
+
+
+def eigvals_checked_stationary(spec: VarProcessSpec) -> np.ndarray:
+    """The doubling as it stood with an up-front eigenvalue check and an
+    absolute stopping tolerance, kept to pin the unit-noise bytes."""
+    assert np.abs(np.linalg.eigvals(spec.A)).max() < 1.0
+    s, a = spec.noise_cov, spec.A
+    for _ in range(64):
+        step = a @ s @ a.T
+        s = s + step
+        if float(np.abs(step).max()) <= 1e-12:
+            return 0.5 * (s + s.T)
+        a = a @ a
+    raise AssertionError("reference doubling did not converge")
+
+
+@pytest.mark.parametrize("structure", ["anti_self", "independent"])
+@pytest.mark.parametrize("c", [2, 3, 7, 16, 64, 128, 250])
+def test_unit_noise_bytes_match_eigvals_checked_doubling(structure, c):
+    for seed in range(4):
+        for radius in (0.5, 0.9, 0.95, 0.995, 0.9999):
+            spec = make_var_spec(structure, c, seed=seed, target_radius=radius)
+            assert (stationary_covariance(spec).tobytes()
+                    == eigvals_checked_stationary(spec).tobytes()), (seed, radius)
+
 
 class TestTwoChannelRisks:
     def test_gap_identity_exact(self):
