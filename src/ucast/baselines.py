@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Node, Tape
-from .data import TimeSeriesDataset, WindowBatch, sliding_windows, \
-    zscore_apply, zscore_fit
-from .errors import ParameterError, ShapeError
+from .data import WindowBatch, sliding_windows, zscore_apply, zscore_fit
+from .errors import DataError, ParameterError, ShapeError
 from .linalg import as_stack
 from .rng import Stream
 from .training import TrainConfig, TrainReport, train
@@ -176,19 +175,15 @@ def experiment_windows(series: np.ndarray) -> tuple[WindowBatch, WindowBatch]:
     Channel statistics come from the prefix of steps the training windows
     cover, so no test-period value leaks into the normalization.
     """
-    channels, n_steps = series.shape
-    n_windows = n_steps - WINDOW_LOOKBACK - WINDOW_HORIZON + 1
+    if not np.all(np.isfinite(series)):
+        raise DataError("series holds non-finite values")
+    n_windows = series.shape[1] - WINDOW_LOOKBACK - WINDOW_HORIZON + 1
     if n_windows < 2:
         raise ParameterError(f"series too short to window: {series.shape}")
     n_train = int(np.floor(TRAIN_FRACTION * n_windows))
     train_cover = n_train - 1 + WINDOW_LOOKBACK + WINDOW_HORIZON
-    prefix = TimeSeriesDataset(
-        values=series[:, :train_cover],
-        channel_names=[f"ch{i}" for i in range(channels)])
-    stats = zscore_fit(prefix)
-    full = TimeSeriesDataset(
-        values=series, channel_names=list(prefix.channel_names))
-    windows = sliding_windows(zscore_apply(full, stats),
+    mean, scale = zscore_fit(series[:, :train_cover])
+    windows = sliding_windows(zscore_apply(series, mean, scale),
                               WINDOW_LOOKBACK, WINDOW_HORIZON)
     train_w = WindowBatch(windows.inputs[:n_train], windows.targets[:n_train],
                           windows.starts[:n_train])

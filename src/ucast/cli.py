@@ -180,8 +180,7 @@ def resolve_data(data_arg: str, steps: int, seed: int
         series = simulate(spec, gen_steps, bl.SERIES_BURN_IN)
         ds = TimeSeriesDataset(
             values=series,
-            channel_names=[f"ch{i}" for i in range(channels)],
-            source=data_arg)
+            channel_names=[f"ch{i}" for i in range(channels)])
         payload = ds.values.tobytes()
         return ds, {"source": data_arg, "steps": gen_steps,
                     "input_sha1": blob_sha1(payload)}
@@ -205,14 +204,12 @@ def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
             f"--split needs three fractions, got {cfg['split']!r}")
     lookback = cfg["lookback"]
     horizon = cfg["horizon"]
-    train_seg, val_seg, test_seg = split_chronological(
-        ds, fractions, min_rows=lookback + horizon)
-    stats = zscore_fit(train_seg)
-    train_w = sliding_windows(zscore_apply(train_seg, stats), lookback, horizon)
-    val_w = None
-    if val_seg is not None:
-        val_w = sliding_windows(zscore_apply(val_seg, stats), lookback, horizon)
-    test_w = sliding_windows(zscore_apply(test_seg, stats), lookback, horizon)
+    segments = split_chronological(ds.values, fractions, lookback + horizon)
+    mean, scale = zscore_fit(segments[0])
+    train_w, val_w, test_w = (
+        None if seg is None
+        else sliding_windows(zscore_apply(seg, mean, scale), lookback, horizon)
+        for seg in segments)
     return train_w, val_w, test_w
 
 

@@ -391,7 +391,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
     if not manifest_path.exists():
         raise FileNotFoundError(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if manifest["format"] != CHECKPOINT_FORMAT:
             raise FormatError(
                 f"{manifest_path}: format {manifest['format']!r}, expected "
@@ -401,7 +401,8 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
         expected = {k: list(v) for k, v in param_shapes(config).items()}
         bad = sorted(k for k in expected.keys() | shapes.keys()
                      if shapes.get(k) != expected.get(k))
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, AttributeError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         raise FormatError(f"{manifest_path}: malformed checkpoint manifest") from exc
     if bad:
         raise FormatError(

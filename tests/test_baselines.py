@@ -12,7 +12,7 @@ from ucast.baselines import (BASELINE_MODES, SERIES_BURN_IN, SERIES_STEPS,
                              fit_linear_baseline, run_ci_cd_experiment)
 from ucast.cli import write_json
 from ucast.data import WindowBatch
-from ucast.errors import ParameterError, ShapeError
+from ucast.errors import DataError, ParameterError, ShapeError
 from ucast.rng import Stream
 from ucast.training import TrainConfig
 
@@ -114,6 +114,12 @@ class TestExperimentWindows:
         too_short = np.zeros((2, WINDOW_LOOKBACK + WINDOW_HORIZON))
         with pytest.raises(ParameterError):
             experiment_windows(too_short)
+
+    def test_non_finite_series_rejected(self):
+        series = Stream(1, (96,)).normal((2, 90))
+        series[1, 40] = np.nan
+        with pytest.raises(DataError):
+            experiment_windows(series)
 
     def test_minimal_series_splits_one_and_one(self):
         series = Stream(2, (96,)).normal((2, WINDOW_LOOKBACK

@@ -179,6 +179,60 @@ class TestMissingData:
         capsys.readouterr()
 
 
+def write_series_csv(path, steps=120):
+    """A time-major CSV with a header row and one empty cell."""
+    rows = [["a", "b", "c", "d"]]
+    for t in range(steps):
+        rows.append([f"{np.sin(0.3 * t + c) + 0.01 * t:.6f}" for c in range(4)])
+    rows[18][1] = ""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestCsvData:
+    def test_train_and_eval_rerun_identical(self, tmp_path, capsys):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        runs = []
+        for name in ("a", "b"):
+            out, evaluated = tmp_path / name, tmp_path / f"eval_{name}"
+            assert main(["train", "--data", str(data), *TINY_TRAIN,
+                         "--out", str(out)]) == EXIT_OK
+            # eval's config.json names its checkpoint, so both evals read a's
+            assert main(["eval", "--checkpoint", str(tmp_path / "a" / "checkpoint"),
+                         "--data", str(data), "--out", str(evaluated)]) == EXIT_OK
+            runs.append((read_bytes_map(out), read_bytes_map(evaluated),
+                         capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        evaluated = json.loads((tmp_path / "eval_a" / "report.json").read_text())
+        assert evaluated["test_mse"] == report["test_mse"]
+        assert json.loads((tmp_path / "a" / "config.json").read_text())[
+            "data"] == str(data)
+
+    @pytest.mark.parametrize("blob", [
+        b"a\n1,2\n3,4\n",                                     # short header
+        b"a,b\n1,\xff\n2,3\n",                                 # not UTF-8
+        b"a,b\n1," + b"9" * (csv.field_size_limit() + 1) + b"\n",  # long field
+    ])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, blob):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(blob)
+        code = main(["train", "--data", str(data), *TINY_TRAIN])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {data}")
+
+    def test_channel_without_finite_values_is_missing_data(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,b\n1,nan\n2,\n")
+        code = main(["train", "--data", str(data), *TINY_TRAIN])
+        assert code == EXIT_MISSING_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: channel 'b' has no finite values\n")
+
+
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -382,6 +436,18 @@ class TestTrainArtifacts:
                      "--data", "var:independent:4:120"])
         assert code == EXIT_USAGE
         assert "f_pred" in capsys.readouterr().err
+
+    def test_eval_refuses_non_utf8_manifest(self, train_run, tmp_path,
+                                            capsys):
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        (ckpt / "manifest.json").write_bytes(b'{"format": "\xff"}')
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {ckpt / 'manifest.json'}: malformed checkpoint manifest\n")
 
     @pytest.mark.parametrize("key, value", [
         ("heads", True), ("d", 8.7), ("seed", "x"), ("alpha", True)])

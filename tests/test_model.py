@@ -527,6 +527,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(d)
 
+    def test_non_utf8_manifest(self, tmp_path):
+        d = tmp_path / "ckpt"
+        d.mkdir()
+        (d / "manifest.json").write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(FormatError, match="malformed"):
+            load_checkpoint(d)
+
 
 def test_cov_loss_matches_logdet():
     h = Stream(11, (54,)).normal((4, 9))
