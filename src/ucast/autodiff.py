@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation on a recorded operation tape.
 
 The primitive set is fixed and small; every adjoint is written out by hand
-against the forward formula in :mod:`ucast.linalg`.  A tape is built for one
-loss evaluation (one window or a whole minibatch stack), swept backward
-once, and discarded.  Node values are float64
-numpy arrays; scalars are 0-d arrays.  The log-det penalty gets a closed-form
-adjoint rather than differentiating through its factorization.
+against its forward formula.  A tape is built for one loss evaluation (one
+window or a whole minibatch stack), swept backward once, and discarded.
+Node values are float64 numpy arrays; scalars are 0-d arrays.  The log-det
+penalty gets a closed-form adjoint rather than differentiating through its
+factorization.  A primitive builds what only its adjoint reads inside the
+adjoint, so a gradient-free forward never builds it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingGradientError, NumericError, ShapeError
-from .linalg import as_stack, cholesky_logdet, layer_norm, require_finite, softmax_rows
+from .linalg import as_stack, cholesky_logdet, require_finite, softmax_rows
 
 
 class Node:
@@ -101,7 +102,8 @@ class Tape:
                             else np.tensordot(g, bv, axes=([0, 2], [0, 2])))
             if b.requires_grad:
                 _accumulate(b, _swap(av) @ g if bv.ndim == g.ndim
-                            else np.tensordot(av, g, axes=([0, 1], [0, 1])))
+                            else av.reshape(-1, av.shape[-1]).T
+                            @ g.reshape(-1, g.shape[-1]))
 
         return self._emit(out, backward)
 
@@ -119,8 +121,10 @@ class Tape:
         out = Node(_broadcasting(np.add, a, b), a.requires_grad or b.requires_grad)
 
         def backward(g):
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-            _accumulate(b, _unbroadcast(g, b.value.shape))
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g, a.value.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(g, b.value.shape))
 
         return self._emit(out, backward)
 
@@ -129,8 +133,10 @@ class Tape:
                    a.requires_grad or b.requires_grad)
 
         def backward(g):
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-            _accumulate(b, _unbroadcast(-g, b.value.shape))
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g, a.value.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(-g, b.value.shape))
 
         return self._emit(out, backward)
 
@@ -165,27 +171,42 @@ class Tape:
         out = Node(s, m.requires_grad)
 
         def backward(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(m, s * (g - dot))
+            delta = g * s
+            dot = delta.sum(axis=-1, keepdims=True)
+            np.subtract(g, dot, out=delta)
+            delta *= s
+            _accumulate(m, delta)
 
         return self._emit(out, backward)
 
     def layer_norm(self, m: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+        """Standardize each row to zero mean and unit variance, then scale
+        and shift per column; eps sits inside the square root."""
         x = as_stack(m.value, "layer_norm input")
-        out_val = layer_norm(x, gain.value, bias.value, eps)
-        mu = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-        xhat = (x - mu) * inv
+        cols = x.shape[-1]
         g_row = gain.value.reshape(-1)
+        b_row = bias.value.reshape(-1)
+        if g_row.shape[0] != cols or b_row.shape[0] != cols:
+            raise ShapeError(
+                f"layer_norm: gain/bias length {g_row.shape[0]}/{b_row.shape[0]} "
+                f"vs {cols} columns")
+        centered = x - x.mean(axis=-1, keepdims=True)
+        # the row variance as x.var forms it, from the centered rows
+        sq = centered * centered
+        std = np.sqrt(sq.sum(axis=-1, keepdims=True) / cols + eps)
+        out_val = np.divide(centered, std, out=sq)
+        out_val *= g_row
+        out_val += b_row
         out = Node(out_val,
                    m.requires_grad or gain.requires_grad or bias.requires_grad)
 
         def backward(g):
+            inv = 1.0 / std
+            xhat = centered * inv
             gx_hat = g * g_row
             m1 = gx_hat.mean(axis=-1, keepdims=True)
             m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
             _accumulate(m, inv * (gx_hat - m1 - xhat * m2))
-            cols = g.shape[-1]
             _accumulate(gain, (g * xhat).reshape(-1, cols).sum(axis=0)
                         .reshape(gain.value.shape))
             _accumulate(bias, g.reshape(-1, cols).sum(axis=0)

@@ -79,6 +79,10 @@ def load_csv(path) -> TimeSeriesDataset:
             rows = [row for row in csv.reader(fh) if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+    except OSError as exc:
+        # a directory or a file the process may not read
+        raise DataError(f"{path}: cannot read dataset: "
+                        f"{exc.strerror or exc}") from exc
     if not rows:
         raise FormatError(f"{path}: empty dataset file")
 

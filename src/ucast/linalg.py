@@ -2,9 +2,9 @@
 
 A "matrix" throughout the package is a 2-D float64 numpy array in row-major
 (C) order; helpers here validate that shape contract.  The row-wise kernels
-(softmax, layer norm, log-det) also take a 3-D stack of matrices and apply
-per matrix.  Operations are pure: inputs are never mutated, every call
-returns a fresh array.
+(softmax, log-det) also take a 3-D stack of matrices and apply per matrix.
+Operations are pure: inputs are never mutated, every call returns a fresh
+array.
 """
 from __future__ import annotations
 
@@ -43,28 +43,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax; max-shifted so the exponentials cannot overflow."""
     m = as_stack(m, "softmax input")
     require_finite(m, "softmax input")
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm(m: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Standardize each row to zero mean / unit variance, then scale and shift.
-
-    gain and bias have one entry per column; eps sits inside the square root.
-    """
-    m = as_stack(m, "layer_norm input")
-    gain = np.asarray(gain, dtype=np.float64).reshape(-1)
-    bias = np.asarray(bias, dtype=np.float64).reshape(-1)
-    if gain.shape[0] != m.shape[-1] or bias.shape[0] != m.shape[-1]:
-        raise ShapeError(
-            f"layer_norm: gain/bias length {gain.shape[0]}/{bias.shape[0]} "
-            f"vs {m.shape[-1]} columns")
-    mu = m.mean(axis=-1, keepdims=True)
-    var = m.var(axis=-1, keepdims=True)
-    normed = (m - mu) / np.sqrt(var + eps)
-    return normed * gain + bias
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cholesky_logdet(s: np.ndarray) -> float | np.ndarray:

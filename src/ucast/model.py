@@ -180,9 +180,14 @@ class InstanceStats:
 def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Per-channel standardization over the lookback axis."""
     x = as_stack(x, "window")
-    mean = x.mean(axis=-1)
-    scale = x.std(axis=-1) + INSTANCE_NORM_GUARD
-    return (x - mean[..., None]) / scale[..., None], InstanceStats(mean=mean, scale=scale)
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    # the population std as x.std forms it, from the centered rows
+    sq = centered * centered
+    scale = np.sqrt(sq.sum(axis=-1, keepdims=True) / x.shape[-1])
+    scale += INSTANCE_NORM_GUARD
+    centered /= scale
+    return centered, InstanceStats(mean=mean[..., 0], scale=scale[..., 0])
 
 
 def instance_denormalize(y_norm: np.ndarray, stats: InstanceStats) -> np.ndarray:
@@ -239,7 +244,7 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
     if heads > 1:
         w_o = tape.transpose(w_o)
     out = None
-    attn_sum = 0.0
+    attn_sum = None
     for h in range(heads):
         wq, wk, wv, wo = w_q, w_k, w_v, w_o
         if heads > 1:
@@ -259,8 +264,8 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
         else:
             head_out = tape.matmul(attn, _chain(tape, key_rows, wv, wo))
         out = head_out if out is None else tape.add(out, head_out)
-        attn_sum = attn_sum + attn.value
-    return out, attn_sum / heads
+        attn_sum = attn.value if attn_sum is None else attn_sum + attn.value
+    return out, attn_sum / heads if heads > 1 else attn_sum
 
 
 def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,

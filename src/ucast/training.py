@@ -67,54 +67,79 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    names: list[str]
+    """Adam's moments m and v and two scratch buffers, each one flat array
+    holding the update set's blocks end to end; `blocks` gives each block's
+    name, shape and slice of them."""
+    blocks: list[tuple[str, tuple[int, ...], slice]]
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    work: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray],
                    names: list[str]) -> "OptimizerState":
-        state = cls(names=list(names))
+        blocks = []
+        size = 0
         for name in names:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        return state
+            blocks.append((name, params[name].shape,
+                           slice(size, size + params[name].size)))
+            size += params[name].size
+        return cls(blocks=blocks, m=np.zeros(size), v=np.zeros(size),
+                   grad=np.empty(size), work=np.empty(size))
 
-
-def clip_gradients(grads: dict[str, np.ndarray], names: list[str],
-                   max_norm: float | None) -> float:
-    """Scale the update set so its global L2 norm is at most max_norm (None
-    leaves it as it is); returns the norm before clipping."""
-    total = math.sqrt(sum(float(np.sum(grads[n] ** 2)) for n in names))
-    if max_norm is not None and total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for n in names:
-            grads[n] = grads[n] * factor
-    return total
+    @property
+    def names(self) -> list[str]:
+        return [name for name, _, _ in self.blocks]
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float,
               clip_norm: float | None = None) -> float:
     """One Adam update in place, touching only the state's update set;
-    returns the update set's gradient norm before clipping."""
-    for name in state.names:
+    returns the update set's gradient norm before clipping, after which a
+    norm above clip_norm (None: never) scales the whole set down to it.
+
+    The gradients are read, never written: they may alias each other."""
+    names = state.names
+    for name in names:
         if name not in grads:
             raise NumericError(f"adam_step: no gradient for '{name}'")
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericError(f"adam_step: non-finite gradient for '{name}'")
-    norm = clip_gradients(grads, state.names, clip_norm)
+    g, work = state.grad, state.work
+    if names:
+        np.concatenate([grads[name].reshape(-1) for name in names], out=g)
+    if not np.isfinite(g).all():
+        bad = next(n for n in names if not np.isfinite(grads[n]).all())
+        raise NumericError(f"adam_step: non-finite gradient for '{bad}'")
+    np.multiply(g, g, out=work)
+    # each block's squares summed in the order its own array lays them out
+    norm = math.sqrt(sum(
+        float(work[sl].sum()) if grads[name].flags.c_contiguous
+        else float(np.sum(grads[name] ** 2))
+        for name, _, sl in state.blocks))
+    if clip_norm is not None and norm > clip_norm and norm > 0.0:
+        g *= clip_norm / norm
     state.step += 1
     b1_corr = 1.0 - ADAM_BETA1 ** state.step
     b2_corr = 1.0 - ADAM_BETA2 ** state.step
-    for name in state.names:
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / b1_corr
-        v_hat = state.v[name] / b2_corr
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g
+    np.multiply(g, 1.0 - ADAM_BETA1, out=work)
+    state.m *= ADAM_BETA1
+    state.m += work
+    np.multiply(g, 1.0 - ADAM_BETA2, out=work)
+    work *= g
+    state.v *= ADAM_BETA2
+    state.v += work
+    # step = lr (m / b1_corr) / (sqrt(v / b2_corr) + eps)
+    np.divide(state.m, b1_corr, out=g)
+    g *= lr
+    np.divide(state.v, b2_corr, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    g /= work
+    for name, shape, sl in state.blocks:
+        params[name] -= g[sl].reshape(shape)
     return norm
 
 

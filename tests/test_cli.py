@@ -178,6 +178,30 @@ class TestMissingData:
         assert code == EXIT_MISSING_DATA
         capsys.readouterr()
 
+    def test_data_directory(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path), *TINY_TRAIN])
+        assert code == EXIT_MISSING_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path}: ")
+
+    def test_unreadable_data_file(self, tmp_path, capsys, monkeypatch):
+        # file modes do not bind every user (root reads anything), so the
+        # refusal comes from a patched open
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        real_open = Path.open
+
+        def deny(path, *args, **kwargs):
+            if path == data:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", deny)
+        code = main(["train", "--data", str(data), *TINY_TRAIN])
+        assert code == EXIT_MISSING_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: cannot read dataset: Permission denied\n")
+
 
 def write_series_csv(path, steps=120):
     """A time-major CSV with a header row and one empty cell."""

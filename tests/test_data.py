@@ -99,6 +99,10 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")
 
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read dataset"):
+            load_csv(tmp_path)
+
     def test_header_shorter_than_rows_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a\n1,2\n3,4\n")

@@ -1,4 +1,6 @@
 """Optimizer, early stopping, and the training loop's failure contracts."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ucast.model import VARIANTS, Forecaster, build_variant
 from ucast.rng import Stream
 from ucast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
                             OptimizerState, TrainConfig, adam_step,
-                            batch_gradients, clip_gradients, evaluate, train)
+                            batch_gradients, evaluate, train)
 
 
 def toy_batch(count=24, c=2, t=4, s=2, seed=0):
@@ -135,19 +137,68 @@ class TestAdam:
         assert np.array_equal(params["frozen"], np.ones(2))
         assert not np.array_equal(params["w"], np.ones(2))
 
+    def test_matches_per_block_reference_exactly(self):
+        # three steps over blocks of three shapes plus a frozen one; the
+        # gradients grow tenfold at step 2, so clipping fires there only
+        stream = Stream(6, (82,))
+        shapes = {"a": (3, 2), "b": (4,), "c": (1, 1), "frozen": (2,)}
+        names = ["a", "b", "c"]
+        w0 = {k: stream.normal(shape) for k, shape in shapes.items()}
+        steps = [{k: stream.normal(shape) * scale
+                  for k, shape in shapes.items()} for scale in (0.1, 10.0, 0.1)]
+        # a transposed (Fortran-ordered) gradient block, as the tape makes
+        steps[1]["a"] = np.asfortranarray(steps[1]["a"])
+        lr, clip = 0.05, 1.0
+
+        params = {k: v.copy() for k, v in w0.items()}
+        state = OptimizerState.for_params(params, names)
+        norms = [adam_step(params, grads, state, lr, clip) for grads in steps]
+
+        w = {k: v.copy() for k, v in w0.items()}
+        m = {k: np.zeros_like(w0[k]) for k in names}
+        v = {k: np.zeros_like(w0[k]) for k in names}
+        ref_norms = []
+        for t, grads in enumerate(steps, start=1):
+            total = math.sqrt(sum(float(np.sum(grads[k] ** 2)) for k in names))
+            ref_norms.append(total)
+            if total > clip:
+                grads = {k: grads[k] * (clip / total) for k in names}
+            for k in names:
+                m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * grads[k]
+                v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * grads[k] * grads[k]
+                mh = m[k] / (1 - ADAM_BETA1 ** t)
+                vh = v[k] / (1 - ADAM_BETA2 ** t)
+                w[k] -= lr * mh / (np.sqrt(vh) + ADAM_EPS)
+        assert [n > clip for n in ref_norms] == [False, True, False]
+        assert norms == ref_norms
+        for k in shapes:
+            assert np.array_equal(params[k], w[k]), k
+        assert np.array_equal(params["frozen"], w0["frozen"])
+        assert np.array_equal(state.m, np.concatenate([m[k].ravel() for k in names]))
+        assert np.array_equal(state.v, np.concatenate([v[k].ravel() for k in names]))
+
 
 class TestClip:
     def test_large_gradient_scaled_to_bound(self):
-        # the returned norm is the one before clipping
+        # the returned norm is the one before clipping; the moment takes the
+        # clipped gradient, and the caller's gradient is left as it was
+        params = {"a": np.zeros(2)}
+        state = OptimizerState.for_params(params, ["a"])
         grads = {"a": np.array([3.0, 4.0])}
-        returned = clip_gradients(grads, ["a"], 1.0)
+        returned = adam_step(params, grads, state, 0.1, 1.0)
         assert returned == 5.0
-        assert np.linalg.norm(grads["a"]) == pytest.approx(1.0)
+        clipped = np.array([3.0, 4.0]) * (1.0 / 5.0)
+        assert np.array_equal(state.m, (1.0 - ADAM_BETA1) * clipped)
+        assert np.linalg.norm(state.m / (1.0 - ADAM_BETA1)) == pytest.approx(1.0)
+        assert np.array_equal(grads["a"], [3.0, 4.0])
 
     def test_no_bound_only_measures(self):
+        params = {"a": np.zeros(2), "b": np.zeros(1)}
+        state = OptimizerState.for_params(params, ["a", "b"])
         grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
-        assert clip_gradients(grads, ["a", "b"], None) == 13.0
-        assert np.array_equal(grads["a"], [3.0, 4.0])
+        assert adam_step(params, grads, state, 0.1, None) == 13.0
+        assert np.array_equal(state.m, (1.0 - ADAM_BETA1)
+                              * np.array([3.0, 4.0, 12.0]))
 
     @pytest.mark.parametrize("clip_norm", [None, 1.0])
     def test_adam_step_returns_pre_clip_norm(self, clip_norm):
@@ -157,10 +208,11 @@ class TestClip:
         assert adam_step(params, grads, state, 0.1, clip_norm) == 5.0
 
     def test_small_gradient_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        returned = clip_gradients(grads, ["a"], 1.0)
+        params = {"a": np.zeros(2)}
+        state = OptimizerState.for_params(params, ["a"])
+        returned = adam_step(params, {"a": np.array([0.3, 0.4])}, state, 0.1, 1.0)
         assert returned == pytest.approx(0.5)
-        assert np.array_equal(grads["a"], [0.3, 0.4])
+        assert np.array_equal(state.m, (1.0 - ADAM_BETA1) * np.array([0.3, 0.4]))
 
 
 class TestEarlyStopper:
