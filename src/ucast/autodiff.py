@@ -43,12 +43,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _broadcasting(op, a: Node, b: Node) -> np.ndarray:
-    try:
-        return op(a.value, b.value)
-    except ValueError:
-        raise ShapeError(f"{op.__name__}: shapes differ, {a.value.shape} vs "
-                         f"{b.value.shape}") from None
+def _tiled(v: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """A 2-D operand that broadcasts over a stack's trailing (rows, cols),
+    materialized at that shape, so the sum runs as one long inner loop
+    rather than one short loop per row."""
+    if v.ndim == 2 and other.ndim == 3 and v.shape != other.shape[1:]:
+        return np.broadcast_to(v, other.shape[1:]).copy()
+    return v
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -118,25 +119,18 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         """Elementwise sum; a row or column bias broadcasts over a matrix or
         a stack, and its gradient sums back to the bias shape."""
-        out = Node(_broadcasting(np.add, a, b), a.requires_grad or b.requires_grad)
+        try:
+            out_val = np.add(_tiled(a.value, b.value), _tiled(b.value, a.value))
+        except ValueError:
+            raise ShapeError(f"add: shapes differ, {a.value.shape} vs "
+                             f"{b.value.shape}") from None
+        out = Node(out_val, a.requires_grad or b.requires_grad)
 
         def backward(g):
             if a.requires_grad:
                 _accumulate(a, _unbroadcast(g, a.value.shape))
             if b.requires_grad:
                 _accumulate(b, _unbroadcast(g, b.value.shape))
-
-        return self._emit(out, backward)
-
-    def sub(self, a: Node, b: Node) -> Node:
-        out = Node(_broadcasting(np.subtract, a, b),
-                   a.requires_grad or b.requires_grad)
-
-        def backward(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.value.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g, b.value.shape))
 
         return self._emit(out, backward)
 
@@ -163,6 +157,28 @@ class Tape:
 
         def backward(g):
             _accumulate(a, np.full_like(a.value, float(g) / n))
+
+        return self._emit(out, backward)
+
+    def mse(self, pred: Node, target: Node) -> Node:
+        """Mean of (pred - target)^2 over every entry.
+
+        The adjoint scales the kept residual in place by 2 g / n, bit-equal
+        to sweeping mean, square and a difference: doubling is exact, so
+        (2 r) (g / n) and r (2 (g / n)) round alike."""
+        if pred.value.shape != target.value.shape:
+            raise ShapeError(f"mse: shapes differ, {pred.value.shape} vs "
+                             f"{target.value.shape}")
+        resid = pred.value - target.value
+        out = Node(np.asarray((resid * resid).mean(), dtype=np.float64),
+                   pred.requires_grad or target.requires_grad)
+
+        def backward(g):
+            np.multiply(resid, 2.0 * (float(g) / resid.size), out=resid)
+            if target.requires_grad:
+                _accumulate(target, -resid)
+            if pred.requires_grad:
+                _accumulate(pred, resid)
 
         return self._emit(out, backward)
 
@@ -283,14 +299,15 @@ class Tape:
 def gradients(nodes: dict[str, Node]) -> dict[str, np.ndarray]:
     """Collect leaf gradients after a backward sweep; missing ones are errors.
 
-    A returned gradient may share memory with another one, so callers must
-    not write into it; rebind the name to a new array instead.
+    Values are not checked for finiteness here: the optimizer certifies
+    them from the norm it sums anyway.  A returned gradient may share memory
+    with another one, so callers must not write into it; rebind the name to
+    a new array instead.
     """
     out = {}
     for name, node in nodes.items():
         if node.grad is None:
             raise MissingGradientError(f"no gradient recorded for '{name}'")
-        require_finite(node.grad, f"gradient of '{name}'")
         out[name] = node.grad
     return out
 
@@ -325,7 +342,12 @@ def analytic_gradients(build_loss: BuildLoss, params: dict[str, np.ndarray]
     nodes = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
     loss = build_loss(tape, nodes)
     tape.backward(loss)
-    return float(loss.value), gradients(nodes)
+    grads = gradients(nodes)
+    # compare_gradients fails an entry only when err >= tol, which a NaN
+    # never is, so a non-finite gradient is refused here
+    for name, g in grads.items():
+        require_finite(g, f"gradient of '{name}'")
+    return float(loss.value), grads
 
 
 def fd_gradients(build_loss: BuildLoss, params: dict[str, np.ndarray],

@@ -87,8 +87,7 @@ class LinearBaseline:
     def build_loss(self, tape: Tape, nodes: dict[str, Node],
                    x: np.ndarray, y: np.ndarray) -> Node:
         pred = self._predict_node(tape, nodes, x)
-        err = tape.sub(pred, tape.constant(y))
-        return tape.mean(tape.square(err))
+        return tape.mse(pred, tape.constant(y))
 
     def _predict_node(self, tape: Tape, nodes: dict[str, Node],
                       x: np.ndarray) -> Node:

@@ -327,8 +327,7 @@ def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:
     if target.shape != trace.y.value.shape:
         raise ShapeError(
             f"target shape {target.shape} vs prediction {trace.y.value.shape}")
-    err = tape.sub(trace.y, tape.constant(target))
-    loss = tape.mean(tape.square(err))
+    loss = tape.mse(trace.y, tape.constant(target))
     cfg = trace.config
     if cfg.alpha > 0:
         penalties = [tape.cov_penalty(h, cfg.eps_cov) for h in trace.h_nodes[1:]]

@@ -38,7 +38,9 @@ def _box_muller(first: np.random.Generator, second: np.random.Generator,
         angle *= _TWO_PI
         np.cos(angle, out=block[:, 0])
         np.sin(angle, out=block[:, 1])
-        block *= radius[:, None]
+        # one multiply per column: a 2-wide broadcast loops once per row
+        block[:, 0] *= radius
+        block[:, 1] *= radius
 
 
 def _row_blocks(first: np.random.Generator, second: np.random.Generator,

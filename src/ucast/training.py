@@ -100,6 +100,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One Adam update in place, touching only the state's update set;
     returns the update set's gradient norm before clipping, after which a
     norm above clip_norm (None: never) scales the whole set down to it.
+    A non-finite norm raises NumericError before anything is updated.
 
     The gradients are read, never written: they may alias each other."""
     names = state.names
@@ -109,15 +110,19 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     g, work = state.grad, state.work
     if names:
         np.concatenate([grads[name].reshape(-1) for name in names], out=g)
-    if not np.isfinite(g).all():
-        bad = next(n for n in names if not np.isfinite(grads[n]).all())
-        raise NumericError(f"adam_step: non-finite gradient for '{bad}'")
     np.multiply(g, g, out=work)
     # each block's squares summed in the order its own array lays them out
     norm = math.sqrt(sum(
         float(work[sl].sum()) if grads[name].flags.c_contiguous
         else float(np.sum(grads[name] ** 2))
         for name, _, sl in state.blocks))
+    # a finite norm certifies every entry finite; only a non-finite one
+    # sends the blocks through a scan, to name the bad block
+    if not math.isfinite(norm):
+        bad = next((n for n in names if not np.isfinite(grads[n]).all()), None)
+        raise NumericError(
+            f"adam_step: non-finite gradient for '{bad}'" if bad is not None
+            else "adam_step: gradient norm overflows")
     if clip_norm is not None and norm > clip_norm and norm > 0.0:
         g *= clip_norm / norm
     state.step += 1
@@ -249,12 +254,16 @@ def evaluate(model: TrainableModel, windows: WindowBatch) -> tuple[float, float]
 
 def batch_gradients(model: TrainableModel, inputs: np.ndarray,
                     targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and gradients over one batch, from one taped graph."""
+    """Mean loss over one batch, from one taped graph, and the gradients of
+    the model's trainable parameters; the others are taped as constants."""
+    names = model.trainable()
     tape = Tape()
-    nodes = {k: tape.leaf(v, requires_grad=True) for k, v in model.params.items()}
+    update = set(names)
+    nodes = {k: tape.leaf(v, requires_grad=k in update)
+             for k, v in model.params.items()}
     loss = model.build_loss(tape, nodes, inputs, targets)
     tape.backward(loss)
-    return float(loss.value), gradients(nodes)
+    return float(loss.value), gradients({k: nodes[k] for k in names})
 
 
 # -- the loop --------------------------------------------------------------
@@ -271,11 +280,11 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     parameters before any test evaluation.
 
     Without a validation set the loop runs all epochs and keeps the final
-    parameters.  A non-finite training loss, or a numeric failure after the
-    first step (validation and test evaluation included), aborts with a
-    diverged report instead of raising.  A batch whose graph does not fit in
-    memory is a ParameterError: every full batch has the same shapes, so it
-    fails at the first step.
+    parameters.  A numeric failure in a step (a non-finite loss or gradient
+    norm among them) raises on the first step; after it, and in validation
+    or test evaluation, it aborts with a diverged report instead.  A batch
+    whose graph does not fit in memory is a ParameterError: every full batch
+    has the same shapes, so it fails at the first step.
     """
     if train_windows.count == 0:
         raise ParameterError("train: empty training set")
@@ -300,6 +309,8 @@ def train(model: TrainableModel, train_windows: WindowBatch,
             try:
                 loss, grads = batch_gradients(
                     model, train_windows.inputs[idx], train_windows.targets[idx])
+                norm = adam_step(model.params, grads, state, config.lr,
+                                 config.clip_norm)
             except MemoryError as exc:
                 raise ParameterError(
                     f"a batch of {len(idx)} windows does not fit in memory; "
@@ -312,11 +323,6 @@ def train(model: TrainableModel, train_windows: WindowBatch,
                     raise
                 return report.diverge(
                     epoch, f"numeric failure at epoch {epoch}: {exc}")
-            if not math.isfinite(loss):
-                return report.diverge(
-                    epoch, f"non-finite training loss at epoch {epoch}")
-            norm = adam_step(model.params, grads, state, config.lr,
-                             config.clip_norm)
             epoch_loss += loss
             epoch_norm = max(epoch_norm, norm)
             batches += 1

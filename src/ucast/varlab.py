@@ -36,6 +36,9 @@ STATIONARY_MAX_DOUBLINGS = 64
 # and the residuals are held one MC_BLOCK_ROWS x C block at a time, so its
 # memory does not grow with the sample count
 MC_BLOCK_ROWS = 4096
+# the risk oracles refuse a spec whose R_C rounding bound exceeds this share
+# of the noise floor, the sixth digit the risk table prints
+FLOOR_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +266,7 @@ def bayes_risk_ci_cd(spec: VarProcessSpec, target: int = 0) -> RiskPair:
         raise ParameterError(f"bayes_risk_ci_cd needs a 2-channel spec, got C={spec.C}")
     if target not in (0, 1):
         raise ParameterError(f"target must be 0 or 1, got {target}")
+    _whitened(spec, target)  # refuses a spec whose risks float64 cannot resolve
     other = 1 - target
     s = spec.stationary_cov
     sigma_t = float(spec.noise_diag[target])
@@ -289,13 +293,36 @@ class RiskReport:
 
 def _whitened(spec: VarProcessSpec, target: int
               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y)."""
+    """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y).
+
+    R_C = Var(Y) - sum(w^2) equals the noise floor for any symmetric S, so
+    the computed R_C misses it only by rounding: to first order at most
+    8 C eps m, C eps m for each product in Var(Y), the factor and the sum
+    and 2 C eps m each for c and the solve, where m = (sum_i |a_i|
+    sqrt(S_ii))^2 bounds |a|^T |S| |a| because |S_ij| <= sqrt(S_ii S_jj).
+    A spec whose bound is not small against the floor, or whose R_C misses
+    the floor by more than it, is refused: float64 cannot resolve its risks.
+    """
     if not (0 <= target < spec.C):
         raise ParameterError(f"target {target} out of range for C={spec.C}")
     s, chol = spec.stationary_cov, spec.stationary_chol
     a_t = spec.A[target]
-    var_y = float(a_t @ s @ a_t + spec.noise_diag[target])
-    return chol, np.linalg.solve(chol, a_t @ s), var_y
+    floor = float(spec.noise_diag[target])
+    var_y = float(a_t @ s @ a_t + floor)
+    w = np.linalg.solve(chol, a_t @ s)
+    r_c = var_y - float(np.cumsum(w * w)[-1])
+    m = float(np.abs(a_t) @ np.sqrt(s.diagonal())) ** 2
+    bound = 8 * spec.C * np.finfo(np.float64).eps * (m + floor)
+    if not bound <= FLOOR_RESOLUTION * floor:
+        raise ParameterError(
+            f"Var(Y) = {var_y:.6g} has a rounding bound of {bound:.3g}, "
+            f"not small against the noise floor {floor:.6g}; A is too close "
+            "to instability to resolve the risks")
+    if not abs(r_c - floor) <= bound:
+        raise ParameterError(
+            f"R_C = {r_c!r} misses the noise floor {floor!r} by more "
+            f"than its rounding bound {bound:.3g}")
+    return chol, w, var_y
 
 
 def bayes_risk_sequence(spec: VarProcessSpec, target: int = 0) -> RiskReport:

@@ -35,6 +35,14 @@ def signed_unstable_spec() -> VarProcessSpec:
     return VarProcessSpec(structure="custom", C=6, A=a, noise_diag=np.ones(6))
 
 
+def rotation_spec(theta: float = 0.3) -> VarProcessSpec:
+    """A 2 x 2 rotation with unit noise: eigvals reads a radius just below
+    one, and the doubling stops at an S with ~1.7e16 on its diagonal."""
+    a = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]])
+    return VarProcessSpec(structure="custom", C=2, A=a, noise_diag=np.ones(2))
+
+
 def tiny_config(**overrides) -> UCastConfig:
     base = dict(channels=6, lookback=8, horizon=4, d=8, layers=2, ratio=2,
                 heads=1, alpha=0.1, eps_cov=1e-4, seed=0)

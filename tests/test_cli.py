@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import JSON_SCALARS, REFUSED, read_as, signed_unstable_spec
+from conftest import (JSON_SCALARS, REFUSED, read_as, rotation_spec,
+                      signed_unstable_spec)
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
                        EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, SETTINGS,
                        TABLE_DEFAULTS, main)
@@ -684,6 +685,20 @@ class TestRisk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "spectral radius < 1, measured 1.0500" in captured.err
+
+    def test_unresolvable_noise_floor_exits_64(self, tmp_path):
+        # the doubling stops at S ~ 1.7e16, where float64 cannot resolve
+        # R_C against the unit noise floor
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(rotation_spec().to_dict()))
+        proc = subprocess.run([sys.executable, "-m", "ucast", "risk",
+                               "--spec-file", str(spec_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "noise floor" in lines[0]
 
 
 class TestSynth:

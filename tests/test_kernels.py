@@ -2,9 +2,11 @@
 
 The forward kernels center a row once and reuse the centered rows, work in
 place on their own temporaries, and reduce a shared weight's gradient with
-one flattened product.  Each must give exactly the bits of the formula it
-replaces on the same host, at desk-width shapes (B=32, C=64, d=32, r=4,
-lookback 96) and at the synth cell's (B=32, C=250, lookback 4, horizon 4).
+one flattened product; the loss keeps its residual and scales it in place,
+and a bias add materializes its bias at the stack's trailing shape.  Each
+must give exactly the bits of the formula it replaces on the same host, at
+desk-width shapes (B=32, C=64, d=32, r=4, lookback 96) and at the synth
+cell's (B=32, C=250, lookback 4, horizon 4).
 """
 import numpy as np
 import pytest
@@ -88,3 +90,49 @@ def test_shared_weight_gradient_matches_tensordot(stack, weight):
     tape.backward(tape.mean(tape.square(out)))
     g = 2.0 * out.value * np.full_like(out.value, 1.0 / out.value.size)
     assert np.array_equal(w.grad, np.tensordot(x, g, axes=([0, 1], [0, 1])))
+
+
+# the loss stack at desk width (B, C, horizon) and in the synth cell
+LOSS_STACKS = [(32, 64, 8), SYNTH_WINDOWS]
+
+
+@pytest.mark.parametrize("shape", LOSS_STACKS)
+@pytest.mark.parametrize("outer", [1.0, 0.37])
+def test_mse_matches_sub_square_mean_chain(shape, outer):
+    pred_v, target_v = draw(shape, seed=7), draw(shape, seed=8)
+    tape = Tape()
+    pred = tape.leaf(pred_v, requires_grad=True)
+    target = tape.leaf(target_v, requires_grad=True)
+    loss = tape.mse(pred, target)
+    # the chain's value, and its adjoints as mean, square and the
+    # difference formed them, for an incoming gradient `outer`
+    err = pred_v - target_v
+    assert np.array_equal(loss.value, (err * err).mean())
+    tape.backward(tape.scale(loss, outer))
+    g = 2.0 * err * np.full_like(err, outer / err.size)
+    assert np.array_equal(pred.grad, g)
+    assert np.array_equal(target.grad, -g)
+
+
+# (stack, bias): row and column biases of the synth cell's ci and cd
+# outputs, and a row bias at desk width
+BIAS_ADDS = [(SYNTH_WINDOWS, (1, 4)), (SYNTH_WINDOWS, (250, 1)),
+             ((32, 64, 8), (1, 8)), ((32, 64, 8), (64, 1))]
+
+
+@pytest.mark.parametrize("stack,bias", BIAS_ADDS)
+@pytest.mark.parametrize("bias_first", [False, True])
+def test_tiled_bias_add_matches_broadcasting(stack, bias, bias_first):
+    x, b = draw(stack, seed=9), draw(bias, seed=10)
+    tape = Tape()
+    xn = tape.leaf(x, requires_grad=True)
+    bn = tape.leaf(b, requires_grad=True)
+    out = tape.add(bn, xn) if bias_first else tape.add(xn, bn)
+    assert np.array_equal(out.value, x + b)
+    target = draw(stack, seed=11)
+    tape.backward(tape.mse(out, tape.constant(target)))
+    err = (x + b) - target
+    g = 2.0 * err * np.full_like(err, 1.0 / err.size)
+    assert np.array_equal(xn.grad, g)
+    axis = 0 if bias[0] == 1 else 1
+    assert np.array_equal(bn.grad, g.sum(axis=0).sum(axis=axis, keepdims=True))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from ucast import training
 from ucast.autodiff import Tape, gradients
 from ucast.baselines import BASELINE_MODES, LinearBaseline
 from ucast.data import WindowBatch
@@ -35,8 +36,7 @@ class QuadraticModel:
         return ["w"]
 
     def build_loss(self, tape, nodes, x, y):
-        diff = tape.sub(nodes["w"], tape.constant(self.w_star))
-        return tape.mean(tape.square(diff))
+        return tape.mse(nodes["w"], tape.constant(self.w_star))
 
     def predict(self, x):
         return np.zeros(x.shape[:-1] + (2,))
@@ -121,6 +121,18 @@ class TestAdam:
             vh = v / (1 - ADAM_BETA2 ** t)
             w -= lr * mh / (np.sqrt(vh) + ADAM_EPS)
         assert np.allclose(params["w"], w, atol=1e-15)
+
+    def test_overflowing_norm_raises_before_updating(self):
+        # every entry is finite but their squares overflow
+        params = {"w": np.zeros(2)}
+        state = OptimizerState.for_params(params, ["w"])
+        with pytest.raises(NumericError, match="overflows"), \
+                np.errstate(over="ignore"):
+            adam_step(params, {"w": np.array([1e160, 0.0])}, state, 0.1,
+                      clip_norm=5.0)
+        assert state.step == 0
+        assert np.array_equal(params["w"], np.zeros(2))
+        assert not state.m.any() and not state.v.any()
 
     def test_rejects_missing_or_nonfinite_grad(self):
         params = {"w": np.zeros(2)}
@@ -269,7 +281,8 @@ class TestBatchGradients:
         ref_loss, ref_grads = per_window_reference(model, batch.inputs,
                                                    batch.targets)
         assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
-        assert set(grads) == set(ref_grads)
+        # only the update set is taped and collected
+        assert set(grads) == set(model.trainable())
         for name in grads:
             assert max_rel_err(grads[name], ref_grads[name]) <= 1e-10, name
 
@@ -348,6 +361,41 @@ class TestTrainLoop:
                           seed=0)
         with pytest.raises(DefinitenessError):
             train(model, toy_batch(), None, None, cfg)
+
+    @staticmethod
+    def poison_gradient(monkeypatch, at_call: int):
+        """batch_gradients as before, but call `at_call` returns a NaN
+        gradient with a finite loss, so only adam_step can see it."""
+        real = training.batch_gradients
+        calls = []
+
+        def poisoned(model, inputs, targets):
+            loss, grads = real(model, inputs, targets)
+            calls.append(1)
+            if len(calls) == at_call:
+                grads = {k: np.full_like(v, np.nan) for k, v in grads.items()}
+            return loss, grads
+
+        monkeypatch.setattr(training, "batch_gradients", poisoned)
+
+    def test_non_finite_gradient_on_first_step_raises(self, monkeypatch):
+        self.poison_gradient(monkeypatch, at_call=1)
+        model = QuadraticModel(np.ones((2, 2)))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5)
+        with pytest.raises(NumericError, match="non-finite gradient for 'w'"):
+            train(model, toy_batch(), None, None, cfg)
+        assert np.array_equal(model.params["w"], np.zeros((2, 2)))
+
+    def test_non_finite_gradient_after_progress_reports_divergence(
+            self, monkeypatch):
+        # toy_batch has 24 windows, so batch size 8 gives 3 steps an epoch
+        self.poison_gradient(monkeypatch, at_call=5)
+        model = QuadraticModel(np.ones((2, 2)))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5)
+        report = train(model, toy_batch(), None, None, cfg)
+        assert report.diverged and report.stopped_epoch == 2
+        assert "non-finite gradient for 'w'" in report.divergence_note
+        assert len(report.epochs) == 1
 
     def test_numeric_failure_in_validation_reports_divergence(self):
         model = UnstableEvalModel(np.ones((2, 2)))

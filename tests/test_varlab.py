@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_stable_spec, signed_unstable_spec
+from conftest import random_stable_spec, rotation_spec, signed_unstable_spec
 from ucast import varlab
 from ucast.errors import DefinitenessError, ParameterError, ShapeError
 from ucast.rng import BLOCK_PAIRS, Stream
@@ -480,3 +480,23 @@ def test_indefinite_covariance_is_definiteness_error(monkeypatch, oracle):
                         lambda spec: np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DefinitenessError):
         oracle(spec)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda spec: bayes_risk_sequence(spec),
+    lambda spec: monte_carlo_risks(spec, n_samples=10),
+    lambda spec: bayes_risk_ci_cd(spec)],
+    ids=["closed_form", "monte_carlo", "two_channel"])
+def test_unresolvable_noise_floor_is_refused(oracle):
+    with pytest.raises(ParameterError, match="not small against the noise floor"):
+        oracle(rotation_spec())
+
+
+def test_risk_missing_the_noise_floor_is_refused(monkeypatch):
+    # R_C equals the floor for any symmetric S; an asymmetric one (the
+    # factor reads only its lower triangle) makes it miss by far more than
+    # rounding
+    monkeypatch.setattr(varlab, "stationary_covariance",
+                        lambda spec: np.array([[2.0, 0.5], [0.1, 2.0]]))
+    with pytest.raises(ParameterError, match="misses the noise floor"):
+        bayes_risk_sequence(random_stable_spec(2, 0))
