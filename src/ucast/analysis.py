@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import Tape
 from .errors import ParameterError
 from .linalg import as_matrix, cholesky_logdet, save_matrix_csv
-from .model import ForwardTrace, _attention
+from .model import ForwardTrace, UCastConfig, _attention
 from .rng import Stream
 
 RANK_TOL_RATIO = 1e-6
@@ -264,15 +264,17 @@ def _attention_pass(channels: int, d: int, queries: int, heads: int,
         out, _ = _attention(tape, q_node, h_node,
                             nodes["w_q"], nodes["w_k"], nodes["w_v"],
                             nodes["w_o"], heads)
-        loss = tape.mean(tape.square(out))
+        loss = tape.mse(out, tape.constant(np.zeros_like(out.value)))
         tape.backward(loss)
         return time.perf_counter() - start
 
     return run_once
 
 
-def bench_attention(channel_list, d: int = 64, ratio: int = 16,
-                    heads: int = 1, repeats: int = BENCH_REPEATS,
+def bench_attention(channel_list, d: int = 64,
+                    ratio: int = UCastConfig.ratio,
+                    heads: int = UCastConfig.heads,
+                    repeats: int = BENCH_REPEATS,
                     seed: int = 0) -> list[CostSample]:
     """Compare hierarchical first-stage attention against the flat variant.
 
@@ -287,10 +289,12 @@ def bench_attention(channel_list, d: int = 64, ratio: int = 16,
     """
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
+    for channels in channel_list:
+        # the forecaster's own rules for channels, d, ratio and heads
+        UCastConfig(channels=channels, lookback=1, horizon=1, d=d, layers=1,
+                    ratio=ratio, heads=heads)
     samples = []
     for channels in channel_list:
-        if channels < 1:
-            raise ParameterError(f"channel count must be positive, got {channels}")
         latent = max(1, channels // ratio)
         passes = {"HLQN": _attention_pass(channels, d, latent, heads, seed),
                   "FlatAttention": _attention_pass(channels, d, channels,

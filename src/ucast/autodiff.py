@@ -143,23 +143,6 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def square(self, a: Node) -> Node:
-        out = Node(a.value * a.value, a.requires_grad)
-
-        def backward(g):
-            _accumulate(a, 2.0 * a.value * g)
-
-        return self._emit(out, backward)
-
-    def mean(self, a: Node) -> Node:
-        out = Node(np.asarray(a.value.mean(), dtype=np.float64), a.requires_grad)
-        n = a.value.size
-
-        def backward(g):
-            _accumulate(a, np.full_like(a.value, float(g) / n))
-
-        return self._emit(out, backward)
-
     def mse(self, pred: Node, target: Node) -> Node:
         """Mean of (pred - target)^2 over every entry.
 

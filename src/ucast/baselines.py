@@ -57,8 +57,8 @@ FULL_SETTINGS: tuple[tuple[str, int, int], ...] = QUICK_SETTINGS + (
 
 
 def experiment_train_config(seed: int) -> TrainConfig:
-    return TrainConfig(lr=0.01, batch_size=32, max_epochs=100, clip_norm=5.0,
-                       seed=seed)
+    # the published max_epochs and clip_norm, a larger step and smaller batches
+    return TrainConfig(lr=0.01, batch_size=32, seed=seed)
 
 
 class LinearBaseline:
@@ -210,6 +210,9 @@ def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
     """
     result = ExperimentResult(seed=seed)
     for structure, channels, pooled in settings:
+        if pooled < 1:
+            raise ParameterError(f"{structure} C={channels}: pooled "
+                                 f"sequences must be >= 1, got {pooled}")
         train_parts = []
         test_parts = []
         for k in range(pooled):

@@ -40,25 +40,26 @@ EXIT_DIVERGED = 70
 
 _FIT = ("train", "ablate", "sweep")
 
-# every run setting once: its published default, the reader a flag or a
+# every run setting once: its published default (the field default of the
+# config dataclass that declares it, where one does), the reader a flag or a
 # config value goes through, and the commands that read it (and so take its
 # flag, and its config key where --config exists); ablate sets the variant
 # itself, and the split stays text until the series is cut
 SETTINGS = {
-    "d": (512, integral, _FIT),
-    "layers": (2, integral, _FIT),
-    "ratio": (16, integral, _FIT),
-    "heads": (1, integral, _FIT),
-    "alpha": (0.01, finite, _FIT),
-    "eps_cov": (1e-4, finite, _FIT),
-    "variant": ("full", text, ("train", "sweep")),
+    "d": (UCastConfig.d, integral, _FIT),
+    "layers": (UCastConfig.layers, integral, _FIT),
+    "ratio": (UCastConfig.ratio, integral, _FIT),
+    "heads": (UCastConfig.heads, integral, _FIT),
+    "alpha": (UCastConfig.alpha, finite, _FIT),
+    "eps_cov": (UCastConfig.eps_cov, finite, _FIT),
+    "variant": (UCastConfig.variant, text, ("train", "sweep")),
     "horizon": (8, integral, _FIT),
     "lookback": (None, integral, _FIT),    # 4 * horizon when absent
-    "lr": (1e-3, finite, _FIT),
-    "batch_size": (128, integral, _FIT),
-    "max_epochs": (100, integral, _FIT),
-    "patience": (5, integral, _FIT),
-    "clip_norm": (5.0, finite, _FIT),
+    "lr": (TrainConfig.lr, finite, _FIT),
+    "batch_size": (TrainConfig.batch_size, integral, _FIT),
+    "max_epochs": (TrainConfig.max_epochs, integral, _FIT),
+    "patience": (TrainConfig.patience, integral, _FIT),
+    "clip_norm": (TrainConfig.clip_norm, finite, _FIT),
     "split": ("0.7,0.1,0.2", text, (*_FIT, "eval")),
     "steps": (400, integral, (*_FIT, "eval")),
     "snapshot_epochs": ("", text, ("train",)),
@@ -316,8 +317,8 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", default="512,1024,2048",
                    help="comma list of channel counts")
     p.add_argument("--d", type=int, default=64)
-    p.add_argument("--ratio", type=int, default=16)
-    p.add_argument("--heads", type=int, default=1)
+    p.add_argument("--ratio", type=int, default=UCastConfig.ratio)
+    p.add_argument("--heads", type=int, default=UCastConfig.heads)
     p.add_argument("--repeats", type=int, default=analysis.BENCH_REPEATS)
     _add_common(p)
 

@@ -37,8 +37,6 @@ from .rng import Stream
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
 
 INSTANCE_NORM_GUARD = 1e-5
-DEFAULT_EPS_COV = 1e-4
-DEFAULT_ALPHA = 0.01
 INIT_STD = 0.02
 
 
@@ -47,12 +45,13 @@ class UCastConfig:
     channels: int
     lookback: int
     horizon: int
+    # d to variant: the published table's defaults, which cli.SETTINGS reads
     d: int = 512
     layers: int = 2
     ratio: int = 16
     heads: int = 1
-    alpha: float = DEFAULT_ALPHA
-    eps_cov: float = DEFAULT_EPS_COV
+    alpha: float = 0.01
+    eps_cov: float = 1e-4
     variant: str = "full"
     seed: int = 0
 

@@ -17,6 +17,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import ParameterError
+
 _TWO_PI = 2.0 * np.pi
 BLOCK_PAIRS = 1 << 15
 
@@ -70,6 +72,8 @@ class Stream:
     """Seeded random stream; every consumer names its own sub-stream key."""
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         entropy = (int(seed), *(int(k) for k in key))
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy)))

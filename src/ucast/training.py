@@ -41,8 +41,9 @@ class TrainableModel(Protocol):
 
 @dataclass
 class TrainConfig:
+    # lr to clip_norm: the published table's defaults, which cli.SETTINGS reads
     lr: float = 1e-3
-    batch_size: int = 32
+    batch_size: int = 128
     max_epochs: int = 100
     patience: int = 5
     clip_norm: float | None = 5.0
@@ -110,12 +111,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     g, work = state.grad, state.work
     if names:
         np.concatenate([grads[name].reshape(-1) for name in names], out=g)
-    np.multiply(g, g, out=work)
-    # each block's squares summed in the order its own array lays them out
-    norm = math.sqrt(sum(
-        float(work[sl].sum()) if grads[name].flags.c_contiguous
-        else float(np.sum(grads[name] ** 2))
-        for name, _, sl in state.blocks))
+    # each block's squares summed in the order its own array lays them out;
+    # squares or sums that overflow give an infinite norm, refused below
+    with np.errstate(over="ignore"):
+        np.multiply(g, g, out=work)
+        norm = math.sqrt(sum(
+            float(work[sl].sum()) if grads[name].flags.c_contiguous
+            else float(np.sum(grads[name] ** 2))
+            for name, _, sl in state.blocks))
     # a finite norm certifies every entry finite; only a non-finite one
     # sends the blocks through a scan, to name the bad block
     if not math.isfinite(norm):

@@ -263,6 +263,14 @@ class TestCostModel:
         with pytest.raises(ParameterError):
             bench_attention([0], d=8, repeats=1)
 
+    @pytest.mark.parametrize("shape, message", [
+        (dict(d=0), "d must be >= 1"), (dict(ratio=0), "ratio must be >= 1"),
+        (dict(heads=0), "heads must be >= 1"),
+        (dict(d=8, heads=3), "d=8 must be divisible by heads=3")])
+    def test_bench_rejects_bad_shape(self, shape, message):
+        with pytest.raises(ParameterError, match=message):
+            bench_attention([16], **{"d": 8, **shape}, repeats=1)
+
     def test_bench_csv_round_trip(self, tmp_path):
         sample = CostSample(channels=16, d=8, ratio=4, heads=1,
                             mechanism="HLQN", seconds=0.25, score_entries=64,

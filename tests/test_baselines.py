@@ -218,6 +218,12 @@ class TestExperimentEndToEnd:
             assert np.isfinite(cell.test_mse[mode])
         assert cell.test_mse["ci"] < cell.test_mse["cd"]
 
+    @pytest.mark.parametrize("pooled", [0, -1])
+    def test_cell_without_sequences_refused(self, pooled):
+        with pytest.raises(ParameterError,
+                           match="pooled sequences must be >= 1"):
+            run_ci_cd_experiment(settings=(("anti_self", 4, pooled),))
+
     def test_seed_changes_numbers(self):
         a = run_ci_cd_experiment(settings=(("independent", 4, 2),), seed=0)
         b = run_ci_cd_experiment(settings=(("independent", 4, 2),), seed=1)

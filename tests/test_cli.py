@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 from unittest import mock
 
@@ -22,12 +23,19 @@ from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
 from ucast import analysis, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
-from ucast.model import Forecaster
+from ucast.model import Forecaster, UCastConfig
+from ucast.training import TrainConfig
 from ucast.varlab import (VarProcessSpec, bayes_risk_sequence,
                           make_var_spec)
 
 TINY_TRAIN = ["--d", "8", "--ratio", "2", "--horizon", "2",
               "--max-epochs", "2", "--batch-size", "16", "--patience", "5"]
+
+
+def assert_one_error_line(err: str, fragment: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert fragment in lines[0]
 
 
 def read_bytes_map(out_dir, skip=("timing.json",)):
@@ -137,6 +145,21 @@ class TestUsageErrors:
         cfg_file.write_text("{}")
         assert main([*argv, "--config", str(cfg_file)]) == EXIT_USAGE
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "var:anti_self:8:200", "--d", "8", "--ratio", "2",
+         "--horizon", "2", "--max-epochs", "1", "--seed", "-1"],
+        ["synth", "--structure", "anti_self", "--channels", "4",
+         "--pooled", "1", "--seed", "-3"],
+        ["risk", "--structure", "anti_self", "--channels", "4",
+         "--seed", "-1"],
+    ], ids=["train", "synth", "risk"])
+    def test_negative_seed_exits_64(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "ucast", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert_one_error_line(proc.stderr, "seed must be >= 0")
 
     @pytest.mark.parametrize("command, flag", [
         ("ablate", "--variant=no_cov"), ("ablate", "--snapshot-epochs=0"),
@@ -742,6 +765,12 @@ class TestSynth:
         assert main(["synth", "--channels", "4"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_cell_without_sequences_is_usage_error(self, capsys):
+        assert main(["synth", "--structure", "anti_self", "--channels", "4",
+                     "--pooled", "0"]) == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err,
+                              "pooled sequences must be >= 1")
+
 
 class TestAblateAndSweep:
     def test_ablate_writes_all_variants(self, tmp_path, capsys):
@@ -807,6 +836,18 @@ class TestBench:
         assert main(["bench", "--channels", "8,x"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--d", "0"], "d must be >= 1"), (["--ratio", "0"], "ratio must be"),
+        (["--heads", "0"], "heads must be >= 1"),
+        (["--channels", "64", "--heads", "3", "--d", "8"],
+         "d=8 must be divisible by heads=3")])
+    def test_bad_shape_is_usage_error(self, flags, message, capsys):
+        assert main(["bench", "--channels", "8", "--repeats", "1",
+                     *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, message)
+
     def test_zero_repeats(self, capsys):
         assert main(["bench", "--channels", "8", "--d", "8",
                      "--repeats", "0"]) == EXIT_USAGE
@@ -842,6 +883,19 @@ class TestEntryPoints:
             for command in ("synth", "risk", "train", "eval", "ablate",
                             "bench", "sweep"):
                 assert command in proc.stdout
+
+    def test_config_field_defaults_are_the_table(self):
+        # each published default is declared once, as the field default of
+        # the config it configures, and the table reads it from there
+        declared = {f.name: f.default for cls in (UCastConfig, TrainConfig)
+                    for f in fields(cls)
+                    if f.name in TABLE_DEFAULTS and f.default is not MISSING}
+        assert sorted(declared) == sorted([
+            "d", "layers", "ratio", "heads", "alpha", "eps_cov", "variant",
+            "lr", "batch_size", "max_epochs", "patience", "clip_norm"])
+        for name, default in declared.items():
+            assert TABLE_DEFAULTS[name] == default, name
+        assert TrainConfig().batch_size == 128
 
     def test_desk_defaults_shrink_table_defaults(self):
         assert DESK_DEFAULTS["d"] < TABLE_DEFAULTS["d"]

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ucast.errors import ParameterError
 from ucast.rng import BLOCK_PAIRS, Stream, _TWO_PI
 
 
@@ -89,3 +90,10 @@ def test_blocks_hold_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 4096 * 128 * 8 + 2 * 2**20
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_negative_seed_refused(seed):
+    # SeedSequence would refuse it too, but with a bare ValueError
+    with pytest.raises(ParameterError, match=f"seed must be >= 0, got {seed}"):
+        Stream(seed, (1,))

@@ -1,5 +1,6 @@
 """Optimizer, early stopping, and the training loop's failure contracts."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,16 +124,20 @@ class TestAdam:
         assert np.allclose(params["w"], w, atol=1e-15)
 
     def test_overflowing_norm_raises_before_updating(self):
-        # every entry is finite but their squares overflow
-        params = {"w": np.zeros(2)}
-        state = OptimizerState.for_params(params, ["w"])
-        with pytest.raises(NumericError, match="overflows"), \
-                np.errstate(over="ignore"):
-            adam_step(params, {"w": np.array([1e160, 0.0])}, state, 0.1,
-                      clip_norm=5.0)
-        assert state.step == 0
-        assert np.array_equal(params["w"], np.zeros(2))
-        assert not state.m.any() and not state.v.any()
+        # every entry is finite but a square, or the sum of the squares,
+        # overflows: in the flat buffer, and in a transposed block's own
+        # array; numpy's overflow warning must not reach the user either
+        big = np.full((2, 2), 1e154)
+        for grad in (np.array([[1e160, 0.0], [0.0, 0.0]]), big, big.T):
+            params = {"w": np.zeros((2, 2))}
+            state = OptimizerState.for_params(params, ["w"])
+            with pytest.raises(NumericError, match="overflows"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                adam_step(params, {"w": grad}, state, 0.1, clip_norm=5.0)
+            assert state.step == 0
+            assert np.array_equal(params["w"], np.zeros((2, 2)))
+            assert not state.m.any() and not state.v.any()
 
     def test_rejects_missing_or_nonfinite_grad(self):
         params = {"w": np.zeros(2)}
