@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,22 +92,11 @@ class SpectrumSnapshot:
     """Spectral summary of one encoder stage's latent row covariance."""
     epoch: int
     layer: int
-    eigenvalues: np.ndarray      # descending
+    eigenvalues: list[float]     # descending
     effective_rank: int
-    entropy_value: float
-    logdet_value: float
+    entropy: float
+    logdet: float
     offdiag_mass: float
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "layer": self.layer,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "effective_rank": self.effective_rank,
-            "entropy": self.entropy_value,
-            "logdet": self.logdet_value,
-            "offdiag_mass": self.offdiag_mass,
-        }
 
 
 def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
@@ -115,22 +104,23 @@ def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
 
     The covariance is H H^T / d as in the training penalty; the entropy and
     log-det use the same ridge as the penalty so trajectories line up with
-    the optimized quantity.
+    the optimized quantity.  One Cholesky log-det of the ridged covariance
+    gives both, the entropy by the arithmetic of entropy().
     """
     eps = trace.config.eps_cov
     out = []
     for layer, node in enumerate(trace.h_nodes[1:], start=1):
         h = node.value
-        d = h.shape[1]
+        n, d = h.shape
         sigma = (h @ h.T) / float(d)
-        ridged = sigma + eps * np.eye(sigma.shape[0])
+        logdet = cholesky_logdet(sigma + eps * np.eye(n))
         out.append(SpectrumSnapshot(
             epoch=epoch,
             layer=layer,
-            eigenvalues=np.linalg.eigvalsh(sigma)[::-1],
+            eigenvalues=np.linalg.eigvalsh(sigma)[::-1].tolist(),
             effective_rank=effective_rank(h),
-            entropy_value=entropy(ridged),
-            logdet_value=cholesky_logdet(ridged),
+            entropy=0.5 * (n * LOG_2PIE + logdet),
+            logdet=logdet,
             offdiag_mass=offdiagonal_mass(sigma),
         ))
     return out
@@ -164,7 +154,7 @@ def export_snapshots(out_dir, trace: ForwardTrace, epoch: int) -> dict:
     return {
         "epoch": epoch,
         "files": files,
-        "snapshots": [s.to_dict() for s in snaps],
+        "snapshots": [asdict(s) for s in snaps],
     }
 
 

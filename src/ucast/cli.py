@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import baselines as bl
@@ -402,6 +403,8 @@ def _risk_spec(args) -> VarProcessSpec:
 
 
 def cmd_risk(args) -> int:
+    if args.mc < 0:
+        raise ParameterError(f"--mc must be >= 0 (0: no check), got {args.mc}")
     try:
         spec = _risk_spec(args)
         report = bayes_risk_sequence(spec, target=args.target)
@@ -476,8 +479,10 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, TABLE_DEFAULTS)
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
+    # built first, so its own rules refuse a zero lookback or horizon
+    ucfg = model_config(cfg, ds.n_channels)
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
-    model = Forecaster(model_config(cfg, ds.n_channels))
+    model = Forecaster(ucfg)
     snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"])
     index_entries: list[dict] = []
     probe = train_w.inputs[0]
@@ -501,8 +506,8 @@ def cmd_train(args) -> int:
         write_json(out / "config.json",
                    {"command": "train", **cfg, **provenance})
         with open(out / "train_log.jsonl", "w") as fh:
-            for row in report.epoch_dicts():
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            for record in report.epochs:
+                fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
         write_json(out / "report.json", summary)
         write_json(out / "timing.json", report.timing())
         if index_entries:
@@ -558,10 +563,11 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     cfg = _resolve(args, DESK_DEFAULTS)
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    train_w, val_w, test_w = windows_from_dataset(ds, cfg)
-    # every run's config is checked before the first run trains
+    # every run's config is built first, so its own rules refuse a zero
+    # lookback or horizon, or a bad --values entry, before any run trains
     configs = [model_config({**cfg, **overrides}, ds.n_channels)
                for _, _, overrides in runs]
+    train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     rows = []
     for (label, row, _), ucfg in zip(runs, configs):
         model = Forecaster(ucfg)
@@ -604,6 +610,8 @@ def cmd_bench(args) -> int:
         channels = [int(c) for c in args.channels.split(",") if c.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --channels list '{args.channels}'") from exc
+    if not channels:
+        raise ParameterError("--channels lists no channel count")
     samples = analysis.bench_attention(channels, d=args.d, ratio=args.ratio,
                                        heads=args.heads, repeats=args.repeats,
                                        seed=args.seed)
@@ -639,6 +647,8 @@ def cmd_sweep(args) -> int:
         values = [cast(v) for v in values_text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad --values list '{values_text}'") from exc
+    if not values:
+        raise ParameterError("--values lists no value")
     rows = _train_grid(args, "sweep", "sweep.csv", ["param", "value"], [
         (f"{args.param}={value}", {"param": args.param, "value": value},
          {args.param: value}) for value in values],

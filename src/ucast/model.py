@@ -170,14 +170,11 @@ def trainable_names(config: UCastConfig, params: ModelParams) -> list[str]:
     return list(params)
 
 
-@dataclass
-class InstanceStats:
-    mean: np.ndarray          # per channel (per window of a stack)
-    scale: np.ndarray         # std + guard, likewise
-
-
-def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
-    """Per-channel standardization over the lookback axis."""
+def instance_normalize(x: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel standardization over the lookback axis: the normalized
+    windows and each channel's mean and scale (std + guard), shaped
+    x.shape[:-1], which Tape.row_affine_const takes to de-normalize."""
     x = as_stack(x, "window")
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
@@ -186,12 +183,7 @@ def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     scale = np.sqrt(sq.sum(axis=-1, keepdims=True) / x.shape[-1])
     scale += INSTANCE_NORM_GUARD
     centered /= scale
-    return centered, InstanceStats(mean=mean[..., 0], scale=scale[..., 0])
-
-
-def instance_denormalize(y_norm: np.ndarray, stats: InstanceStats) -> np.ndarray:
-    y_norm = as_stack(y_norm, "normalized prediction")
-    return y_norm * stats.scale[..., None] + stats.mean[..., None]
+    return centered, mean[..., 0], scale[..., 0]
 
 
 @dataclass
@@ -275,7 +267,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
     if x.shape[-2:] != (config.channels, config.lookback):
         raise ShapeError(
             f"window shape {x.shape} vs (C={config.channels}, T={config.lookback})")
-    x_norm, stats = instance_normalize(x)
+    x_norm, mean, scale = instance_normalize(x)
 
     h = tape.matmul(tape.constant(x_norm), nodes["w_in"])
     h_nodes = [h]
@@ -308,7 +300,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
             attn_up.append(attn)
 
     y_norm = tape.matmul(tape.add(u, h_nodes[0]), nodes["w_out"])
-    y = tape.row_affine_const(y_norm, stats.scale, stats.mean)
+    y = tape.row_affine_const(y_norm, scale, mean)
     _check_finite(y, "prediction")
     return ForwardTrace(config=config, h_nodes=h_nodes, attn_down=attn_down,
                         attn_up=attn_up, y=y)

@@ -111,14 +111,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     g, work = state.grad, state.work
     if names:
         np.concatenate([grads[name].reshape(-1) for name in names], out=g)
-    # each block's squares summed in the order its own array lays them out;
+    # each block's squares summed in C order from its slice and the block
+    # sums added in Python, which one sum over the buffer would reorder;
     # squares or sums that overflow give an infinite norm, refused below
     with np.errstate(over="ignore"):
         np.multiply(g, g, out=work)
-        norm = math.sqrt(sum(
-            float(work[sl].sum()) if grads[name].flags.c_contiguous
-            else float(np.sum(grads[name] ** 2))
-            for name, _, sl in state.blocks))
+        norm = math.sqrt(sum(float(work[sl].sum()) for _, _, sl in state.blocks))
     # a finite norm certifies every entry finite; only a non-finite one
     # sends the blocks through a scan, to name the bad block
     if not math.isfinite(norm):
@@ -151,31 +149,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return norm
 
 
-# -- early stopping --------------------------------------------------------
-
-
-class EarlyStopper:
-    """Patience counter on a minimized metric; any strict decrease resets it."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ParameterError("patience must be >= 1")
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = 0
-        self.bad = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one epoch's metric; True means stop after this epoch."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.bad = 0
-            return False
-        self.bad += 1
-        return self.bad >= self.patience
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -203,11 +176,6 @@ class TrainReport:
         self.divergence_note = note
         self.stopped_epoch = epoch
         return self
-
-    def epoch_dicts(self) -> list[dict]:
-        return [{"epoch": e.epoch, "train_loss": e.train_loss,
-                 "val_mse": e.val_mse, "grad_norm": e.grad_norm}
-                for e in self.epochs]
 
     def summary(self) -> dict:
         """Deterministic run summary; wall-clock timing deliberately lives in
@@ -279,8 +247,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
           val_windows: WindowBatch | None, test_windows: WindowBatch | None,
           config: TrainConfig,
           epoch_callback: EpochCallback | None = None) -> TrainReport:
-    """Run Adam to completion or early stop; restores the best-validation
-    parameters before any test evaluation.
+    """Run Adam to completion or early stop: patience epochs without a
+    strict decrease of the validation MSE stop the run, and the best
+    epoch's parameters are restored before any test evaluation.
 
     Without a validation set the loop runs all epochs and keeps the final
     parameters.  A numeric failure in a step (a non-finite loss or gradient
@@ -294,9 +263,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     names = model.trainable()
     state = OptimizerState.for_params(model.params, names)
     shuffle_stream = Stream(config.seed, (401,))
-    stopper = EarlyStopper(config.patience) if val_windows is not None else None
     report = TrainReport()
-    best_params = None
+    # the best validation epoch so far; a diverged report keeps best_epoch 0
+    best_mse, best_epoch, best_params = math.inf, 0, None
 
     if epoch_callback is not None:
         epoch_callback(0, model)
@@ -345,16 +314,15 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         if epoch_callback is not None:
             epoch_callback(epoch, model)
 
-        if stopper is not None:
-            improved = val_mse is not None and val_mse < stopper.best
-            stop = stopper.update(epoch, float(val_mse))
-            if improved:
+        if val_mse is not None:
+            if val_mse < best_mse:
+                best_mse, best_epoch = val_mse, epoch
                 best_params = {k: v.copy() for k, v in model.params.items()}
-            if stop:
+            elif epoch - best_epoch >= config.patience:
                 break
 
-    if stopper is not None and best_params is not None:
-        report.best_epoch = stopper.best_epoch
+    if best_params is not None:
+        report.best_epoch = best_epoch
         for k, v in best_params.items():
             model.params[k][...] = v
     else:

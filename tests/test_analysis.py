@@ -1,6 +1,7 @@
 """Spectral diagnostics, covariance snapshots, and the attention cost bench."""
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -120,14 +121,14 @@ class TestSnapshots:
             assert np.sum(snap.eigenvalues) == pytest.approx(
                 np.trace(sigma), rel=1e-10)
             # entropy and logdet are computed on the same ridged matrix
-            want = 0.5 * (n * LOG_2PIE + snap.logdet_value)
-            assert snap.entropy_value == pytest.approx(want, rel=1e-12)
+            want = 0.5 * (n * LOG_2PIE + snap.logdet)
+            assert snap.entropy == pytest.approx(want, rel=1e-12)
             assert 0 <= snap.effective_rank <= min(h.shape)
             assert 0.0 <= snap.offdiag_mass <= 1.0 + 1e-12
 
-    def test_to_dict_json_safe(self):
+    def test_asdict_json_safe(self):
         _, trace = self.make_trace()
-        payload = json.dumps([s.to_dict() for s in snapshot(trace, 1)])
+        payload = json.dumps([asdict(s) for s in snapshot(trace, 1)])
         assert "eigenvalues" in payload
 
     def test_export_writes_listed_files(self, tmp_path):

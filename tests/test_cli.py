@@ -161,6 +161,21 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert_one_error_line(proc.stderr, "seed must be >= 0")
 
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("flags, name", [
+        (["--lookback", "0"], "lookback"),
+        (["--lookback", "8", "--horizon", "0"], "horizon")])
+    def test_zero_window_length_is_usage_error(self, command, flags, name,
+                                               capsys):
+        # the model config refuses it before any window is cut
+        extra = ["--param", "alpha"] if command == "sweep" else []
+        code = main([command, "--data", "var:anti_self:4:100", *TINY_TRAIN,
+                     *extra, *flags])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, f"{name} must be >= 1, got 0")
+
     @pytest.mark.parametrize("command, flag", [
         ("ablate", "--variant=no_cov"), ("ablate", "--snapshot-epochs=0"),
         ("sweep", "--snapshot-epochs=0")])
@@ -326,20 +341,21 @@ class TestConfigPrecedence:
            value=JSON_SCALARS)
     def test_any_config_scalar_is_read_or_refused(self, config_file, command,
                                                   key, value):
-        # the run stops where the series would be cut, once every setting
-        # has been read
+        # the run stops once every setting has been read, before the model
+        # config's own rules see them
         config_file.write_text(json.dumps({key: value}))
         argv = [command, "--data", "var:independent:4:120",
                 "--config", str(config_file)]
         if command == "sweep":
             argv += ["--param", "alpha"]
         seen, err = {}, io.StringIO()
+        resolve = cli._resolve
 
-        def stop(ds, cfg):
-            seen.update(cfg)
+        def stop(args, defaults):
+            seen.update(resolve(args, defaults))
             raise Resolved
 
-        with mock.patch.object(cli, "windows_from_dataset", stop), \
+        with mock.patch.object(cli, "_resolve", stop), \
                 contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
@@ -641,6 +657,15 @@ class TestRisk:
         assert captured.out == ""
         assert "do not fit in memory" in captured.err
 
+    def test_negative_mc_refused(self, tmp_path, capsys):
+        code = main(["risk", "--structure", "anti_self", "--channels", "4",
+                     "--mc", "-5", "--out", str(tmp_path / "risk")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "--mc must be >= 0")
+        assert not (tmp_path / "risk").exists()
+
     def test_spec_file_round_trip(self, tmp_path, capsys):
         spec = make_var_spec("independent", 3, seed=4)
         spec_path = tmp_path / "spec.json"
@@ -800,6 +825,16 @@ class TestAblateAndSweep:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    def test_sweep_empty_values(self, tmp_path, capsys):
+        code = main(["sweep", "--data", "var:anti_self:8:300", *TINY_TRAIN,
+                     "--param", "alpha", "--values", ",",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "--values lists no value")
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("param, values", [
         ("alpha", "0,0.5,inf"), ("ratio", "2,0")])
     def test_sweep_checks_every_value_before_training(self, param, values,
@@ -847,6 +882,15 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_error_line(captured.err, message)
+
+    def test_empty_channel_list(self, tmp_path, capsys):
+        code = main(["bench", "--channels", ",", "--repeats", "1",
+                     "--out", str(tmp_path / "bench")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "--channels lists no channel count")
+        assert not (tmp_path / "bench").exists()
 
     def test_zero_repeats(self, capsys):
         assert main(["bench", "--channels", "8", "--d", "8",

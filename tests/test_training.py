@@ -13,9 +13,9 @@ from ucast.data import WindowBatch
 from ucast.errors import DefinitenessError, NumericError, ParameterError
 from ucast.model import VARIANTS, Forecaster, build_variant
 from ucast.rng import Stream
-from ucast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
-                            OptimizerState, TrainConfig, adam_step,
-                            batch_gradients, evaluate, train)
+from ucast.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
+                            TrainConfig, adam_step, batch_gradients, evaluate,
+                            train)
 
 
 def toy_batch(count=24, c=2, t=4, s=2, seed=0):
@@ -56,6 +56,19 @@ class FailingModel(QuadraticModel):
         if self.calls >= self.fail_at:
             raise DefinitenessError("synthetic factorization failure")
         return super().build_loss(tape, nodes, x, y)
+
+
+class ScriptedValModel(QuadraticModel):
+    """Trains toward w_star; each prediction is the square root of the next
+    scripted value, so against zero targets one validation pass per epoch
+    reads that value as its MSE."""
+
+    def __init__(self, w_star, script):
+        super().__init__(w_star)
+        self.script = iter(script)
+
+    def predict(self, x):
+        return np.full(x.shape[:-1] + (2,), math.sqrt(next(self.script)))
 
 
 class UnstableEvalModel(QuadraticModel):
@@ -163,7 +176,8 @@ class TestAdam:
         w0 = {k: stream.normal(shape) for k, shape in shapes.items()}
         steps = [{k: stream.normal(shape) * scale
                   for k, shape in shapes.items()} for scale in (0.1, 10.0, 0.1)]
-        # a transposed (Fortran-ordered) gradient block, as the tape makes
+        # a transposed (Fortran-ordered) gradient block, as the tape makes;
+        # its squares are summed in C order like every other block's
         steps[1]["a"] = np.asfortranarray(steps[1]["a"])
         lr, clip = 0.05, 1.0
 
@@ -176,7 +190,8 @@ class TestAdam:
         v = {k: np.zeros_like(w0[k]) for k in names}
         ref_norms = []
         for t, grads in enumerate(steps, start=1):
-            total = math.sqrt(sum(float(np.sum(grads[k] ** 2)) for k in names))
+            total = math.sqrt(sum(float(np.sum(grads[k].ravel() ** 2))
+                                  for k in names))
             ref_norms.append(total)
             if total > clip:
                 grads = {k: grads[k] * (clip / total) for k in names}
@@ -233,31 +248,46 @@ class TestClip:
 
 
 class TestEarlyStopper:
+    """train's early stopping: only a strict decrease of the validation MSE
+    improves, any improvement resets the count, patience epochs without one
+    stop the run, and the best epoch's parameters come back.  Each script
+    ends in an improvement that a correct stop never reaches."""
+
+    def run(self, script, patience):
+        model = ScriptedValModel(np.ones(3), script)
+        val = WindowBatch(inputs=np.zeros((4, 2, 4)),
+                          targets=np.zeros((4, 2, 2)), starts=np.arange(4))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=len(script),
+                          patience=patience, clip_norm=None, seed=0)
+        seen = {}
+
+        def record(epoch, m):
+            seen[epoch] = m.params["w"].copy()
+
+        report = train(model, toy_batch(count=8), val, None, cfg,
+                       epoch_callback=record)
+        return report, model.params["w"], seen
+
     def test_patience_contract(self):
         # best at epoch 2, then patience=5 worse epochs -> stop at epoch 7
-        values = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96]
-        stopper = EarlyStopper(patience=5)
-        stopped_at = None
-        for epoch, v in enumerate(values, start=1):
-            if stopper.update(epoch, v):
-                stopped_at = epoch
-                break
-        assert stopped_at == 7
-        assert stopper.best_epoch == 2
-        assert stopper.best == pytest.approx(0.9)
+        script = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.5]
+        report, w, seen = self.run(script, patience=5)
+        assert (report.stopped_epoch, report.best_epoch) == (7, 2)
+        assert report.epochs[1].val_mse == pytest.approx(0.9)
+        assert np.array_equal(w, seen[2])
+        assert not np.array_equal(seen[7], seen[2])
 
     def test_any_improvement_resets(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1, 1.0)
-        assert not stopper.update(2, 1.1)
-        assert not stopper.update(3, 0.99)   # reset
-        assert not stopper.update(4, 1.2)
-        assert stopper.update(5, 1.2)
+        script = [1.0, 1.1, 0.99, 1.2, 1.2, 0.5]
+        report, w, seen = self.run(script, patience=2)
+        assert (report.stopped_epoch, report.best_epoch) == (5, 3)
+        assert np.array_equal(w, seen[3])
 
     def test_equal_value_is_not_improvement(self):
-        stopper = EarlyStopper(patience=1)
-        assert not stopper.update(1, 1.0)
-        assert stopper.update(2, 1.0)
+        report, w, seen = self.run([1.0, 1.0, 0.5], patience=1)
+        assert (report.stopped_epoch, report.best_epoch) == (2, 1)
+        assert np.array_equal(w, seen[1])
+        assert not np.array_equal(seen[2], seen[1])
 
 
 PARITY_MODELS = [(variant, heads) for variant in VARIANTS
