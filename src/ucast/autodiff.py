@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingGradientError, NumericError, ShapeError
-from .linalg import as_stack, cholesky_logdet, require_finite, softmax_rows
+from .linalg import (as_stack, cholesky_logdet, require_finite, row_sums,
+                     softmax_rows)
 
 
 class Node:
@@ -171,7 +172,7 @@ class Tape:
 
         def backward(g):
             delta = g * s
-            dot = delta.sum(axis=-1, keepdims=True)
+            dot = row_sums(delta)
             np.subtract(g, dot, out=delta)
             delta *= s
             _accumulate(m, delta)
@@ -189,10 +190,10 @@ class Tape:
             raise ShapeError(
                 f"layer_norm: gain/bias length {g_row.shape[0]}/{b_row.shape[0]} "
                 f"vs {cols} columns")
-        centered = x - x.mean(axis=-1, keepdims=True)
-        # the row variance as x.var forms it, from the centered rows
+        centered = x - row_sums(x) / cols
+        # the row variance from the centered rows, as x.var forms it
         sq = centered * centered
-        std = np.sqrt(sq.sum(axis=-1, keepdims=True) / cols + eps)
+        std = np.sqrt(row_sums(sq) / cols + eps)
         out_val = np.divide(centered, std, out=sq)
         out_val *= g_row
         out_val += b_row
@@ -203,8 +204,8 @@ class Tape:
             inv = 1.0 / std
             xhat = centered * inv
             gx_hat = g * g_row
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            m1 = row_sums(gx_hat) / cols
+            m2 = row_sums(gx_hat * xhat) / cols
             _accumulate(m, inv * (gx_hat - m1 - xhat * m2))
             _accumulate(gain, (g * xhat).reshape(-1, cols).sum(axis=0)
                         .reshape(gain.value.shape))

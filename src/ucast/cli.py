@@ -178,8 +178,14 @@ def resolve_data(data_arg: str, steps: int, seed: int
             gen_steps = int(parts[3]) if len(parts) == 4 else steps
         except ValueError as exc:
             raise ParameterError(f"bad --data numbers in '{data_arg}'") from exc
-        spec = make_var_spec(structure, channels, seed=seed)
-        series = simulate(spec, gen_steps, bl.SERIES_BURN_IN)
+        try:
+            spec = make_var_spec(structure, channels, seed=seed)
+            series = simulate(spec, gen_steps, bl.SERIES_BURN_IN)
+        except MemoryError as exc:
+            raise ParameterError(
+                f"--data {data_arg}: {channels} channels over {gen_steps} "
+                "steps do not fit in memory; use fewer channels or steps"
+            ) from exc
         ds = TimeSeriesDataset(
             values=series,
             channel_names=[f"ch{i}" for i in range(channels)])

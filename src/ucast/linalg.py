@@ -2,9 +2,14 @@
 
 A "matrix" throughout the package is a 2-D float64 numpy array in row-major
 (C) order; helpers here validate that shape contract.  The row-wise kernels
-(softmax, log-det) also take a 3-D stack of matrices and apply per matrix.
-Operations are pure: inputs are never mutated, every call returns a fresh
-array.
+(row sums and maxima, softmax, log-det) also take a 3-D stack of matrices
+and apply per matrix.  Operations are pure: inputs are never mutated, every
+call returns a fresh array.
+
+Rows here are short (4 to 96 entries at desk width) and many, where numpy's
+reductions run one short inner loop per row.  So a row sum is one BLAS
+matrix-vector product against a ones vector, and a row maximum halves the
+rows with np.maximum over adjacent pairs, each halving one long loop.
 """
 from __future__ import annotations
 
@@ -39,13 +44,43 @@ def require_finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, shaped (..., 1): x @ ones as one product over every
+    row.  BLAS adds in its own order, not numpy's pairwise one."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n)).reshape(*x.shape[:-1], 1)
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's largest entry, shaped (..., 1), exact for any width.
+
+    Adjacent pairs of the C-ordered rows meet in one np.maximum call, which
+    halves every row at once; an odd width instead pairs its two halves and
+    folds the last column into the first.
+    """
+    n = x.shape[-1]
+    if n == 1:
+        return x.copy()
+    m = x.reshape(-1, n)
+    while n > 1:
+        h = n // 2
+        if n % 2:
+            top = np.maximum(m[:, :h], m[:, h:2 * h])
+            np.maximum(top[:, 0], m[:, -1], out=top[:, 0])
+        else:
+            pairs = m.reshape(-1, 2)
+            top = np.maximum(pairs[:, 0], pairs[:, 1]).reshape(-1, h)
+        m, n = top, h
+    return m.reshape(*x.shape[:-1], 1)
+
+
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax; max-shifted so the exponentials cannot overflow."""
     m = as_stack(m, "softmax input")
     require_finite(m, "softmax input")
-    e = m - m.max(axis=-1, keepdims=True)
+    e = m - row_max(m)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= row_sums(e)
     return e
 
 

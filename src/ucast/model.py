@@ -31,7 +31,7 @@ import numpy as np
 from .autodiff import Node, Tape
 from .errors import (FormatError, NumericError, ParameterError, ShapeError,
                      finite, integral, text)
-from .linalg import as_stack
+from .linalg import as_stack, row_sums
 from .rng import Stream
 
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
@@ -176,11 +176,12 @@ def instance_normalize(x: np.ndarray
     windows and each channel's mean and scale (std + guard), shaped
     x.shape[:-1], which Tape.row_affine_const takes to de-normalize."""
     x = as_stack(x, "window")
-    mean = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mean = row_sums(x) / n
     centered = x - mean
-    # the population std as x.std forms it, from the centered rows
+    # the population std from the centered rows, as x.std forms it
     sq = centered * centered
-    scale = np.sqrt(sq.sum(axis=-1, keepdims=True) / x.shape[-1])
+    scale = np.sqrt(row_sums(sq) / n)
     scale += INSTANCE_NORM_GUARD
     centered /= scale
     return centered, mean[..., 0], scale[..., 0]
@@ -403,16 +404,25 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
         raise FormatError(
             f"{manifest_path}: parameters missing, unexpected or misshapen "
             f"for its config: {', '.join(bad)}")
-    params: ModelParams = {}
-    for name, shape in expected.items():
-        path = directory / f"{name}.npy"
-        try:
-            arr = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"{path}: unreadable parameter {name}: {exc}") from exc
-        # a zip archive under the .npy name loads as an NpzFile: no dtype
-        if getattr(arr, "dtype", None) != np.float64 or list(arr.shape) != shape:
-            raise FormatError(
-                f"{path}: parameter {name} is not float64 of shape {shape}")
-        params[name] = arr
-    return params, config
+    return {name: _load_parameter(directory / f"{name}.npy", name, shape)
+            for name, shape in expected.items()}, config
+
+
+def _load_parameter(path: Path, name: str, shape: list) -> np.ndarray:
+    """One parameter file, as save_checkpoint writes it: a version 1.0
+    `.npy` whose header names float64 and `shape`.  The header is checked
+    before any data is read, so a zip archive is never opened and a header
+    claiming a huge array allocates nothing."""
+    npy = np.lib.format
+    try:
+        with path.open("rb") as fh:
+            if npy.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            got_shape, fortran, dtype = npy.read_array_header_1_0(fh)
+            if dtype == np.float64 and list(got_shape) == shape:
+                # a short file reads fewer values, which reshape refuses
+                data = np.fromfile(fh, dtype=np.float64, count=math.prod(shape))
+                return data.reshape(shape, order="F" if fortran else "C")
+    except (OSError, ValueError, EOFError) as exc:
+        raise FormatError(f"{path}: unreadable parameter {name}: {exc}") from exc
+    raise FormatError(f"{path}: parameter {name} is not float64 of shape {shape}")

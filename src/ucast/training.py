@@ -254,7 +254,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     Without a validation set the loop runs all epochs and keeps the final
     parameters.  A numeric failure in a step (a non-finite loss or gradient
     norm among them) raises on the first step; after it, and in validation
-    or test evaluation, it aborts with a diverged report instead.  A batch
+    or test evaluation, it aborts with a diverged report instead, which
+    also names and restores the best validated epoch (0 and the diverged
+    parameters when no epoch was validated).  A batch
     whose graph does not fit in memory is a ParameterError: every full batch
     has the same shapes, so it fails at the first step.
     """
@@ -264,8 +266,20 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     state = OptimizerState.for_params(model.params, names)
     shuffle_stream = Stream(config.seed, (401,))
     report = TrainReport()
-    # the best validation epoch so far; a diverged report keeps best_epoch 0
+    # the best validation epoch so far, and a copy of its parameters
     best_mse, best_epoch, best_params = math.inf, 0, None
+
+    def restore_best() -> bool:
+        if best_params is None:
+            return False
+        report.best_epoch = best_epoch
+        for k, v in best_params.items():
+            model.params[k][...] = v
+        return True
+
+    def diverge(epoch: int, note: str) -> TrainReport:
+        restore_best()
+        return report.diverge(epoch, note)
 
     if epoch_callback is not None:
         epoch_callback(0, model)
@@ -293,8 +307,7 @@ def train(model: TrainableModel, train_windows: WindowBatch,
                 # the iterates blew up, which is a divergence outcome.
                 if epoch == 1 and batches == 0:
                     raise
-                return report.diverge(
-                    epoch, f"numeric failure at epoch {epoch}: {exc}")
+                return diverge(epoch, f"numeric failure at epoch {epoch}: {exc}")
             epoch_loss += loss
             epoch_norm = max(epoch_norm, norm)
             batches += 1
@@ -305,7 +318,7 @@ def train(model: TrainableModel, train_windows: WindowBatch,
             try:
                 val_mse, _ = evaluate(model, val_windows)
             except NumericError as exc:
-                return report.diverge(
+                return diverge(
                     epoch, f"numeric failure in validation at epoch {epoch}: {exc}")
         report.epochs.append(EpochRecord(
             epoch=epoch, train_loss=epoch_loss / batches, val_mse=val_mse,
@@ -321,11 +334,7 @@ def train(model: TrainableModel, train_windows: WindowBatch,
             elif epoch - best_epoch >= config.patience:
                 break
 
-    if best_params is not None:
-        report.best_epoch = best_epoch
-        for k, v in best_params.items():
-            model.params[k][...] = v
-    else:
+    if not restore_best():
         report.best_epoch = report.stopped_epoch
 
     if test_windows is not None:

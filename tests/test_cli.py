@@ -118,6 +118,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "batch of 16 windows" in err and "--batch-size" in err
 
+    @pytest.mark.parametrize("name", ["make_var_spec", "simulate"])
+    def test_var_data_out_of_memory_is_usage_error(self, name, monkeypatch,
+                                                   capsys):
+        # nothing of that size is allocated: the generator steps are
+        # replaced, the one before `name` by a stand-in spec
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+        monkeypatch.setattr(cli, "make_var_spec",
+                            out_of_memory if name == "make_var_spec"
+                            else lambda *args, **kwargs: None)
+        monkeypatch.setattr(cli, "simulate", out_of_memory)
+        code = main(["train", "--data", "var:anti_self:100000:5000",
+                     *TINY_TRAIN])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "100000 channels over 5000 steps")
+
     @pytest.mark.parametrize("layers", [5, 10**9])
     def test_layers_beyond_channels(self, layers, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -552,6 +570,19 @@ class TestTrainArtifacts:
                      "--data", "var:independent:4:120"])
         assert code == EXIT_USAGE
         assert "w_out" in capsys.readouterr().err
+
+    def test_eval_parameter_file_with_zip_magic(self, train_run, tmp_path,
+                                                capsys):
+        # zip magic but no archive: numpy alone raises zipfile.BadZipFile
+        _, out, _ = train_run
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        (ckpt / "w_out.npy").write_bytes(b"PK\x03\x04 no zip")
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", "var:independent:4:120"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "w_out" in err and "Traceback" not in err
 
     def test_eval_channel_mismatch(self, train_run, capsys):
         _, out, _ = train_run

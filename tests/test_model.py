@@ -1,4 +1,5 @@
 """Forecaster architecture invariants and checkpoint round-trips."""
+import io
 import json
 from dataclasses import asdict, fields
 
@@ -20,6 +21,14 @@ from ucast.training import batch_gradients
 
 def window(cfg, seed=0):
     return Stream(seed, (51,)).normal((cfg.channels, cfg.lookback))
+
+
+def npy_header(shape, descr="<f8"):
+    """The bytes of a version 1.0 .npy header, data not included."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": tuple(shape)})
+    return buf.getvalue()
 
 
 def logdet_penalty(h, eps):
@@ -487,11 +496,20 @@ class TestCheckpoint:
             load_checkpoint(path.parent)
 
     @pytest.mark.parametrize("case", ["truncated", "empty", "csv_text",
-                                      "object_array", "npz_archive"])
+                                      "object_array", "npz_archive",
+                                      "zip_magic", "empty_zip", "huge_header"])
     def test_unreadable_parameter_file(self, tmp_path, case):
         path, _ = self._saved_manifest(tmp_path)
         target = path.parent / "w_out.npy"
-        if case == "truncated":
+        if case == "zip_magic":
+            # numpy's own loader raises zipfile.BadZipFile here
+            target.write_bytes(b"PK\x03\x04 no zip archive")
+        elif case == "empty_zip":
+            target.write_bytes(b"PK\x05\x06" + bytes(18))
+        elif case == "huge_header":
+            # refused from the header alone: nothing of 8 TB is allocated
+            target.write_bytes(npy_header((10 ** 12,)) + bytes(64))
+        elif case == "truncated":
             target.write_bytes(target.read_bytes()[:-8])
         elif case == "empty":
             target.write_bytes(b"")
@@ -506,6 +524,42 @@ class TestCheckpoint:
                 np.savez(fh, w_out=value)
         with pytest.raises(FormatError, match="w_out"):
             load_checkpoint(path.parent)
+
+    @given(prefix=st.sampled_from(["none", "zip", "empty_zip", "npy_v1",
+                                   "npy_v2", "right_header", "huge_header",
+                                   "float32_header"]),
+           tail=st.binary(max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_parameter_bytes_load_or_refuse(self, tmp_path_factory,
+                                                      prefix, tail):
+        cfg = tiny_config()
+        directory = tmp_path_factory.mktemp("ckpt")
+        save_checkpoint(directory, Forecaster(cfg).params, cfg)
+        shape = param_shapes(cfg)["w_out"]
+        head = {"none": b"", "zip": b"PK\x03\x04", "empty_zip": b"PK\x05\x06",
+                "npy_v1": b"\x93NUMPY\x01\x00", "npy_v2": b"\x93NUMPY\x02\x00",
+                "right_header": npy_header(shape),
+                "huge_header": npy_header((10 ** 12,)),
+                "float32_header": npy_header(shape, "<f4")}[prefix]
+        (directory / "w_out.npy").write_bytes(head + tail)
+        try:
+            params, _ = load_checkpoint(directory)
+        except FormatError as exc:
+            assert "w_out" in str(exc)
+            return
+        # only a well-formed header of the right shape with enough data loads
+        assert prefix == "right_header"
+        assert params["w_out"].dtype == np.float64
+        assert params["w_out"].shape == tuple(shape)
+
+    def test_fortran_ordered_parameter_file(self, tmp_path):
+        # np.save keeps a Fortran-ordered array's layout in its header
+        path, _ = self._saved_manifest(tmp_path)
+        target = path.parent / "w_out.npy"
+        value = np.load(target)
+        np.save(target, np.asfortranarray(value))
+        params, _ = load_checkpoint(path.parent)
+        assert np.array_equal(params["w_out"], value)
 
     def test_parameter_of_the_wrong_dtype(self, tmp_path):
         path, _ = self._saved_manifest(tmp_path)

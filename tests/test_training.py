@@ -390,6 +390,38 @@ class TestTrainLoop:
         assert report.diverged
         assert "numeric failure" in report.divergence_note
 
+    def test_divergence_restores_best_validated_epoch(self):
+        # three batches an epoch: call 5 fails in epoch 2's second batch,
+        # after epoch 1 validated and one more step moved the parameters
+        class Validated(FailingModel):
+            def predict(self, x):
+                gap = float(np.sum((self.params["w"] - self.w_star) ** 2))
+                return np.full(x.shape[:-1] + (2,), gap)
+
+        model = Validated(np.ones((2, 2)), fail_at=5)
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5,
+                          seed=0)
+        seen = {}
+
+        def keep(epoch, m):
+            seen[epoch] = m.params["w"].copy()
+
+        report = train(model, toy_batch(), toy_batch(seed=1), None, cfg,
+                       epoch_callback=keep)
+        assert report.diverged and report.stopped_epoch == 2
+        assert [r.epoch for r in report.epochs] == [1]
+        assert report.best_epoch == 1
+        assert report.summary()["best_epoch"] == 1
+        assert np.array_equal(model.params["w"], seen[1])
+        assert not np.array_equal(seen[1], seen[0])
+
+    def test_divergence_without_validation_keeps_best_epoch_zero(self):
+        model = FailingModel(np.ones((2, 2)), fail_at=5)
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5,
+                          seed=0)
+        report = train(model, toy_batch(), None, None, cfg)
+        assert report.diverged and report.best_epoch == 0
+
     def test_numeric_failure_on_first_batch_raises(self):
         model = FailingModel(np.ones((2, 2)), fail_at=1)
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5,
