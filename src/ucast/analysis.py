@@ -175,12 +175,6 @@ class CostSample:
     score_entries: int           # analytic count, first stage, per head
     blas_threads: int | None     # BLAS threads in effect, None if unknown
 
-    def to_dict(self) -> dict:
-        return {"channels": self.channels, "d": self.d, "ratio": self.ratio,
-                "heads": self.heads, "mechanism": self.mechanism,
-                "seconds": self.seconds, "score_entries": self.score_entries,
-                "blas_threads": self.blas_threads}
-
 
 def score_entries(channels: int, ratio: int, mechanism: str) -> int:
     """Exact per-head score-matrix element count of the first stage."""

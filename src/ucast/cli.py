@@ -503,9 +503,12 @@ def cmd_train(args) -> int:
 
     report = train(model, train_w, val_w, test_w, train_config(cfg),
                    epoch_callback=callback)
-    if snap_final and out is not None and not report.diverged:
+    # the model now holds the best validated epoch's parameters, which the
+    # callback has exported already if that epoch was listed
+    if (snap_final and out is not None and not report.diverged
+            and report.best_epoch not in snap_epochs):
         entry = analysis.export_snapshots(
-            out / "snapshots", model.trace(probe), report.stopped_epoch)
+            out / "snapshots", model.trace(probe), report.best_epoch)
         index_entries.append(entry)
     summary = report.summary()
     if out is not None:
@@ -637,7 +640,7 @@ def cmd_bench(args) -> int:
         write_csv(out / "bench.csv",
                   ["channels", "d", "ratio", "heads", "mechanism", "seconds",
                    "score_entries", "blas_threads"],
-                  [s.to_dict() for s in samples])
+                  [asdict(s) for s in samples])
         write_json(out / "config.json", {
             "command": "bench", "seed": args.seed,
             "channels": channels, "d": args.d, "ratio": args.ratio,
@@ -681,14 +684,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except (ParameterError, FormatError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy refuses an oversized request up front and names it, e.g.
+        # "Unable to allocate 238. GiB for an array with shape ..."
+        print(f"error: {args.command}: out of memory: "
+              f"{str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_USAGE
     except UcastError as exc:
         # a numeric failure: NumericError (non-finite values, or a matrix

@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import (FormatError, NumericError, ParameterError, ShapeError,
-                     finite, integral, text)
-from .linalg import as_stack, row_sums
+from .errors import (FormatError, ParameterError, ShapeError, finite, integral,
+                     text)
+from .linalg import as_stack, require_finite, row_sums
 from .rng import Stream
 
 VARIANTS = ("full", "no_cov", "no_hierarchical", "frozen_query", "no_upsampling")
@@ -96,8 +96,6 @@ def build_variant(config: UCastConfig, variant: str) -> UCastConfig:
     to a single stage; the remaining variants only change wiring or the
     trainable set, so they keep the architecture numbers.
     """
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant '{variant}'")
     cfg = replace(config, variant=variant)
     if variant == "no_cov":
         cfg = replace(cfg, alpha=0.0)
@@ -280,7 +278,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
             nodes[f"enc{level}.w_v"], nodes[f"enc{level}.w_o"], config.heads)
         h = tape.layer_norm(out, nodes[f"enc{level}.ln_gain"],
                             nodes[f"enc{level}.ln_bias"])
-        _check_finite(h, f"compression stage {level}")
+        require_finite(h.value, f"activations after compression stage {level}")
         h_nodes.append(h)
         attn_down.append(attn)
 
@@ -288,7 +286,7 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
     attn_up = []
     if config.variant == "no_upsampling":
         u = tape.matmul(nodes["restore"], u)
-        _check_finite(u, "channel restore")
+        require_finite(u.value, "activations after channel restore")
     else:
         for level in range(config.layers, 0, -1):
             skip = h_nodes[level - 1]
@@ -297,19 +295,14 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                 nodes[f"dec{level}.w_q"], nodes[f"dec{level}.w_k"],
                 nodes[f"dec{level}.w_v"], nodes[f"dec{level}.w_o"], config.heads)
             u = tape.add(out, skip)
-            _check_finite(u, f"expansion stage {level}")
+            require_finite(u.value, f"activations after expansion stage {level}")
             attn_up.append(attn)
 
     y_norm = tape.matmul(tape.add(u, h_nodes[0]), nodes["w_out"])
     y = tape.row_affine_const(y_norm, scale, mean)
-    _check_finite(y, "prediction")
+    require_finite(y.value, "activations after prediction")
     return ForwardTrace(config=config, h_nodes=h_nodes, attn_down=attn_down,
                         attn_up=attn_up, y=y)
-
-
-def _check_finite(node: Node, stage: str) -> None:
-    if not np.all(np.isfinite(node.value)):
-        raise NumericError(f"non-finite activations after {stage}")
 
 
 def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:

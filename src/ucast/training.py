@@ -90,10 +90,6 @@ class OptimizerState:
         return cls(blocks=blocks, m=np.zeros(size), v=np.zeros(size),
                    grad=np.empty(size), work=np.empty(size))
 
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _, _ in self.blocks]
-
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: OptimizerState, lr: float,
@@ -104,7 +100,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     A non-finite norm raises NumericError before anything is updated.
 
     The gradients are read, never written: they may alias each other."""
-    names = state.names
+    names = [name for name, _, _ in state.blocks]
     for name in names:
         if name not in grads:
             raise NumericError(f"adam_step: no gradient for '{name}'")
@@ -170,12 +166,6 @@ class TrainReport:
     diverged: bool = False
     divergence_note: str = ""
     batch_seconds: list[float] = field(default_factory=list)
-
-    def diverge(self, epoch: int, note: str) -> "TrainReport":
-        self.diverged = True
-        self.divergence_note = note
-        self.stopped_epoch = epoch
-        return self
 
     def summary(self) -> dict:
         """Deterministic run summary; wall-clock timing deliberately lives in
@@ -279,7 +269,9 @@ def train(model: TrainableModel, train_windows: WindowBatch,
 
     def diverge(epoch: int, note: str) -> TrainReport:
         restore_best()
-        return report.diverge(epoch, note)
+        report.diverged, report.divergence_note = True, note
+        report.stopped_epoch = epoch
+        return report
 
     if epoch_callback is not None:
         epoch_callback(0, model)
@@ -341,6 +333,6 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         try:
             report.test_mse, report.test_mae = evaluate(model, test_windows)
         except NumericError as exc:
-            return report.diverge(report.stopped_epoch,
-                                  f"numeric failure in test evaluation: {exc}")
+            return diverge(report.stopped_epoch,
+                           f"numeric failure in test evaluation: {exc}")
     return report

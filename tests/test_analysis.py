@@ -277,7 +277,7 @@ class TestCostModel:
                             mechanism="HLQN", seconds=0.25, score_entries=64,
                             blas_threads=1)
         path = tmp_path / "bench.csv"
-        write_csv(path, list(sample.to_dict()), [sample.to_dict()])
+        write_csv(path, list(asdict(sample)), [asdict(sample)])
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["mechanism"] == "HLQN"

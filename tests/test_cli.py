@@ -136,6 +136,28 @@ class TestUsageErrors:
         assert captured.out == ""
         assert_one_error_line(captured.err, "100000 channels over 5000 steps")
 
+    @pytest.mark.parametrize("argv, target", [
+        (["train", "--data", "var:independent:4:120", *TINY_TRAIN],
+         (cli, "Forecaster")),
+        (["ablate", "--data", "var:independent:4:120", *TINY_TRAIN],
+         (cli, "Forecaster")),
+        (["bench", "--channels", "8", "--d", "8", "--repeats", "1"],
+         (analysis, "bench_attention"))], ids=["train", "ablate", "bench"])
+    def test_out_of_memory_is_usage_error(self, argv, target, monkeypatch,
+                                          capsys):
+        # numpy's refusal is raised by a stand-in, so nothing is allocated
+        refusal = ("Unable to allocate 238. GiB for an array with shape "
+                   "(1000000000, 32) and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(refusal)
+        monkeypatch.setattr(*target, out_of_memory)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, f"{argv[0]}: out of memory")
+        assert refusal in captured.err
+
     @pytest.mark.parametrize("layers", [5, 10**9])
     def test_layers_beyond_channels(self, layers, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -619,6 +641,37 @@ class TestSnapshots:
             assert len(entry["snapshots"]) == 2          # one per stage
             for name in entry["files"]:
                 assert (out / "snapshots" / name).exists()
+        capsys.readouterr()
+
+    def test_final_is_the_best_epoch(self, tmp_path, capsys):
+        # this run's validation MSE is best at epoch 1 of 2, so the model
+        # ends holding epoch 1's parameters: final exports epoch 1, and the
+        # same bytes as a run that lists epoch 1 by number
+        heads2 = ["train", "--data", "var:anti_self:12:600", "--d", "8",
+                  "--ratio", "2", "--heads", "2", "--batch-size", "16",
+                  "--max-epochs", "2"]
+        runs = {}
+        for epochs in ("0,final", "0,1", "0,1,final"):
+            out = tmp_path / epochs.replace(",", "_")
+            assert main([*heads2, "--snapshot-epochs", epochs,
+                         "--out", str(out)]) == EXIT_OK
+            runs[epochs] = read_bytes_map(out / "snapshots")
+        report = json.loads((out / "report.json").read_text())
+        assert (report["best_epoch"], report["epochs_run"]) == (1, 2)
+        assert runs["0,final"] == runs["0,1"] == runs["0,1,final"]
+        index = json.loads(runs["0,final"]["artifacts.json"])
+        assert [e["epoch"] for e in index["entries"]] == [0, 1]
+        capsys.readouterr()
+
+    def test_final_not_exported_twice(self, tmp_path, capsys):
+        # best = stopped = 2 here: final names the epoch the callback has
+        # already exported, so the index lists it once
+        out = tmp_path / "run"
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     "--snapshot-epochs", "0,2,final", "--out", str(out)])
+        assert code == EXIT_OK
+        index = json.loads((out / "snapshots" / "artifacts.json").read_text())
+        assert [e["epoch"] for e in index["entries"]] == [0, 2]
         capsys.readouterr()
 
 
