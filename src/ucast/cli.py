@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import baselines as bl
@@ -90,11 +91,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def blob_sha1(data: bytes) -> str:
-    """Content hash in git blob style."""
-    h = hashlib.sha1()
-    h.update(b"blob %d\0" % len(data))
-    h.update(data)
+def blob_sha1(fh) -> str:
+    """Content hash in git blob style of a seekable binary file, read in
+    fixed-size chunks so that a large dataset is never held whole."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    h = hashlib.sha1(b"blob %d\0" % size)
+    while chunk := fh.read(1 << 20):
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -189,15 +193,14 @@ def resolve_data(data_arg: str, steps: int, seed: int
         ds = TimeSeriesDataset(
             values=series,
             channel_names=[f"ch{i}" for i in range(channels)])
-        payload = ds.values.tobytes()
         return ds, {"source": data_arg, "steps": gen_steps,
-                    "input_sha1": blob_sha1(payload)}
+                    "input_sha1": blob_sha1(io.BytesIO(ds.values.tobytes()))}
     path = Path(data_arg)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     ds = load_csv(path)
-    return ds, {"source": str(path),
-                "input_sha1": blob_sha1(path.read_bytes())}
+    with path.open("rb") as fh:
+        return ds, {"source": str(path), "input_sha1": blob_sha1(fh)}
 
 
 def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
@@ -222,30 +225,13 @@ def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
 
 
 def model_config(cfg: dict, channels: int) -> UCastConfig:
-    base = UCastConfig(
-        channels=channels,
-        lookback=cfg["lookback"],
-        horizon=cfg["horizon"],
-        d=cfg["d"],
-        layers=cfg["layers"],
-        ratio=cfg["ratio"],
-        heads=cfg["heads"],
-        alpha=cfg["alpha"],
-        eps_cov=cfg["eps_cov"],
-        seed=cfg["seed"],
-    )
+    base = UCastConfig(channels=channels, **{
+        f.name: cfg[f.name] for f in fields(UCastConfig) if f.name != "channels"})
     return build_variant(base, cfg["variant"])
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        clip_norm=cfg["clip_norm"],
-        seed=cfg["seed"],
-    )
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
 # -- argument plumbing -----------------------------------------------------
@@ -452,8 +438,8 @@ def cmd_risk(args) -> int:
         payload = {
             "command": "risk", "seed": args.seed, "target": args.target,
             "var_y": report.var_y, "noise_floor": report.noise_floor,
-            "spec_sha1": blob_sha1(
-                json.dumps(spec.to_dict(), sort_keys=True).encode()),
+            "spec_sha1": blob_sha1(io.BytesIO(
+                json.dumps(spec.to_dict(), sort_keys=True).encode())),
         }
         if mc_rows is not None:
             payload["monte_carlo"] = mc_rows

@@ -68,23 +68,13 @@ def _interpolate_channel(col: np.ndarray, label: str) -> int:
 
 
 def load_csv(path) -> TimeSeriesDataset:
-    """Read a time-major UTF-8 CSV; a first row that does not parse as
-    numbers is the header.  NaNs are linearly interpolated (edge-filled at
-    the boundaries) and counted in `repaired_cells`."""
+    """Read a time-major UTF-8 CSV in one pass, each row becoming a float64
+    array as it is read; a first row that does not convert is the header.
+    NaNs are linearly interpolated (edge-filled at the boundaries) and
+    counted in `repaired_cells`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
-    except OSError as exc:
-        # a directory or a file the process may not read
-        raise DataError(f"{path}: cannot read dataset: "
-                        f"{exc.strerror or exc}") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty dataset file")
 
     def to_float(tok: str) -> float:
         tok = tok.strip()
@@ -92,37 +82,45 @@ def load_csv(path) -> TimeSeriesDataset:
             return math.nan
         return float(tok)
 
-    def parses(tokens: list[str]) -> bool:
-        try:
-            for tok in tokens:
-                to_float(tok)
-        except ValueError:
-            return False
-        return True
+    def floats(tokens: list[str]) -> np.ndarray:
+        return np.array([to_float(tok) for tok in tokens])
 
-    names: list[str] | None = None
-    if not parses(rows[0]):
-        names = [tok.strip() for tok in rows[0]]
-        rows = rows[1:]
+    rows: list[np.ndarray] = []
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = filter(None, csv.reader(fh))
+            first = next(reader, None)
+            if first is None:
+                raise FormatError(f"{path}: empty dataset file")
+            try:
+                rows.append(floats(first))
+                names = [f"ch{j}" for j in range(len(first))]
+            except ValueError:
+                names = [tok.strip() for tok in first]
+            # numbered as data rows: 1 is the first row after a header
+            for number, tokens in enumerate(reader, start=len(rows) + 1):
+                # width before values, so a ragged row reads as ragged
+                if len(tokens) != len(names):
+                    raise FormatError(
+                        f"{path}: header has {len(names)} fields, data rows "
+                        f"have {len(tokens)}" if number == 1 else
+                        f"{path}: ragged row {number} has {len(tokens)} "
+                        f"fields, expected {len(names)}")
+                try:
+                    rows.append(floats(tokens))
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}: unparseable value in row {number}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+    except OSError as exc:
+        # a directory or a file the process may not read
+        raise DataError(f"{path}: cannot read dataset: "
+                        f"{exc.strerror or exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    if names is None:
-        names = [f"ch{j}" for j in range(width)]
-    elif len(names) != width:
-        raise FormatError(
-            f"{path}: header has {len(names)} fields, data rows have {width}")
-    raw = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: ragged row {i + 1} has {len(row)} fields, expected {width}")
-        try:
-            raw[i] = [to_float(tok) for tok in row]
-        except ValueError as exc:
-            raise FormatError(f"{path}: unparseable value in row {i + 1}") from exc
 
-    values = raw.T.copy()
+    values = np.stack(rows, axis=1)
     repaired = sum(_interpolate_channel(values[c], f"{path}: channel '{name}'")
                    for c, name in enumerate(names))
     return TimeSeriesDataset(values=values, channel_names=names,

@@ -150,14 +150,22 @@ def param_shapes(config: UCastConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: UCastConfig) -> ModelParams:
     """Seeded initialization: weights and queries N(0, 0.02^2), LN at identity."""
     stream = Stream(config.seed, (211,))
+    shapes = param_shapes(config)
     params: ModelParams = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(".ln_gain"):
-            params[name] = np.ones(shape)
-        elif name.endswith(".ln_bias"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = stream.normal_matrix(*shape, INIT_STD)
+    try:
+        for name, shape in shapes.items():
+            if name.endswith(".ln_gain"):
+                params[name] = np.ones(shape)
+            elif name.endswith(".ln_bias"):
+                params[name] = np.zeros(shape)
+            else:
+                params[name] = stream.normal_matrix(*shape, INIT_STD)
+    except MemoryError as exc:
+        # d sizes every weight; numpy refuses an oversized request up front
+        count = sum(math.prod(shape) for shape in shapes.values())
+        raise ParameterError(
+            f"d={config.d}: the model's {count:,} parameters do not fit in "
+            "memory; use a smaller d") from exc
     return params
 
 

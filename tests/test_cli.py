@@ -1,8 +1,10 @@
 """End-to-end command line behavior, exit codes, and artifact determinism."""
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -23,7 +25,8 @@ from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
 from ucast import analysis, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
-from ucast.model import Forecaster, UCastConfig
+from ucast.model import Forecaster, UCastConfig, param_shapes
+from ucast.rng import Stream
 from ucast.training import TrainConfig
 from ucast.varlab import (VarProcessSpec, bayes_risk_sequence,
                           make_var_spec)
@@ -157,6 +160,23 @@ class TestUsageErrors:
         assert captured.out == ""
         assert_one_error_line(captured.err, f"{argv[0]}: out of memory")
         assert refusal in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_model_out_of_memory_names_d(self, command, monkeypatch, capsys):
+        # numpy's refusal is raised by a stand-in, so nothing is allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+        monkeypatch.setattr(Stream, "normal_matrix", out_of_memory)
+        code = main([command, "--data", "var:independent:4:120", *TINY_TRAIN])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shapes = param_shapes(UCastConfig(channels=4, lookback=8, horizon=2,
+                                          d=8, ratio=2))
+        count = sum(math.prod(shape) for shape in shapes.values())
+        assert_one_error_line(
+            captured.err, f"d=8: the model's {count:,} parameters do not fit "
+            "in memory; use a smaller d")
 
     @pytest.mark.parametrize("layers", [5, 10**9])
     def test_layers_beyond_channels(self, layers, tmp_path, capsys):
@@ -312,6 +332,24 @@ class TestCsvData:
         assert evaluated["test_mse"] == report["test_mse"]
         assert json.loads((tmp_path / "a" / "config.json").read_text())[
             "data"] == str(data)
+
+    def test_input_sha1_is_git_blob_hash(self, tmp_path, capsys):
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), *TINY_TRAIN,
+                     "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        blob = data.read_bytes()
+        stored = json.loads((out / "config.json").read_text())
+        assert stored["input_sha1"] == hashlib.sha1(
+            b"blob %d\0" % len(blob) + blob).hexdigest()
+
+    def test_blob_sha1_spans_chunks(self):
+        # larger than one read, and not a whole number of reads
+        blob = np.random.default_rng(0).bytes(5 * 2**19 + 3)
+        assert cli.blob_sha1(io.BytesIO(blob)) == hashlib.sha1(
+            b"blob %d\0" % len(blob) + blob).hexdigest()
 
     @pytest.mark.parametrize("blob", [
         b"a\n1,2\n3,4\n",                                     # short header
@@ -1024,6 +1062,21 @@ class TestEntryPoints:
         for name, default in declared.items():
             assert TABLE_DEFAULTS[name] == default, name
         assert TrainConfig().batch_size == 128
+
+    def test_configs_carry_every_resolved_setting(self):
+        # model_config and train_config take each field of their config
+        # from the resolved settings, none at its default
+        cfg = dict(TABLE_DEFAULTS, lookback=12, horizon=3, d=16, layers=1,
+                   ratio=3, heads=2, alpha=0.5, eps_cov=1e-3,
+                   variant="frozen_query", seed=7, lr=0.01, batch_size=9,
+                   max_epochs=4, patience=2, clip_norm=1.5)
+        ucfg, tcfg = cli.model_config(cfg, 6), cli.train_config(cfg)
+        assert ucfg.channels == 6
+        for config in (ucfg, tcfg):
+            for f in fields(config):
+                if f.name != "channels":
+                    assert getattr(config, f.name) == cfg[f.name] != f.default
+        assert cli.model_config(dict(cfg, variant="no_cov"), 6).alpha == 0.0
 
     def test_desk_defaults_shrink_table_defaults(self):
         assert DESK_DEFAULTS["d"] < TABLE_DEFAULTS["d"]
