@@ -8,8 +8,10 @@ timing file; all other artifacts are byte-deterministic for a fixed
 invocation.
 
 Exit codes: 0 success; 2 a --assert-paper expectation failed; 64 usage
-error; 66 missing dataset or checkpoint; 70 training diverged or another
-numeric failure.
+error; 66 a file or directory the command cannot open, read or create,
+missing or too-short data, or a missing checkpoint, in one line such as
+"error: series.csv: No such file or directory"; 70 training diverged or
+another numeric failure.
 """
 from __future__ import annotations
 
@@ -108,11 +110,8 @@ def _resolve(args, defaults: dict) -> dict:
     resolved = {name: defaults[name] for name, (_, _, commands)
                 in SETTINGS.items() if args.command in commands}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except ValueError as exc:
             # bad JSON, bad encoding, or an integer too long to convert
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
@@ -196,8 +195,6 @@ def resolve_data(data_arg: str, steps: int, seed: int
         return ds, {"source": data_arg, "steps": gen_steps,
                     "input_sha1": blob_sha1(io.BytesIO(ds.values.tobytes()))}
     path = Path(data_arg)
-    if not path.exists():
-        raise DataError(f"dataset not found: {path}")
     ds = load_csv(path)
     with path.open("rb") as fh:
         return ds, {"source": str(path), "input_sha1": blob_sha1(fh)}
@@ -347,6 +344,7 @@ def cmd_synth(args) -> int:
     else:
         preset = args.settings or "default"
         settings = bl.FULL_SETTINGS if preset == "full" else bl.QUICK_SETTINGS
+    out = prepare_run_dir(args.out, args.force) if args.out else None
     result = bl.run_ci_cd_experiment(settings=settings, seed=args.seed)
     violations = bl.assert_paper_orderings(result)
     for cell in result.cells:
@@ -355,8 +353,7 @@ def cmd_synth(args) -> int:
               f"cd/ci {cell.ratio_cd_over_ci:.4f}")
     for v in violations:
         print(f"ordering violation: {v}")
-    if args.out:
-        out = prepare_run_dir(args.out, args.force)
+    if out is not None:
         write_csv(out / "table.csv", ["structure", "C", "model", "test_mse"],
                   result.rows())
         summary = result.to_dict()
@@ -376,8 +373,6 @@ def cmd_synth(args) -> int:
 def _risk_spec(args) -> VarProcessSpec:
     if args.spec_file:
         path = Path(args.spec_file)
-        if not path.exists():
-            raise DataError(f"spec file not found: {path}")
         try:
             return VarProcessSpec.from_dict(json.loads(path.read_text()))
         except (KeyError, TypeError, ValueError) as exc:
@@ -397,6 +392,7 @@ def _risk_spec(args) -> VarProcessSpec:
 def cmd_risk(args) -> int:
     if args.mc < 0:
         raise ParameterError(f"--mc must be >= 0 (0: no check), got {args.mc}")
+    out = prepare_run_dir(args.out, args.force) if args.out else None
     try:
         spec = _risk_spec(args)
         report = bayes_risk_sequence(spec, target=args.target)
@@ -429,8 +425,7 @@ def cmd_risk(args) -> int:
             mc_rows.append({"p": p, "closed": float(risk),
                             "sampled": float(est), "delta": float(delta)})
             print(f"{p:4d}  {risk:10.6f}  {est:10.6f}  {delta:9.6f}")
-    if args.out:
-        out = prepare_run_dir(args.out, args.force)
+    if out is not None:
         write_csv(out / "risks.csv", ["p", "risk", "gap"], [
             {"p": p, "risk": float(r), "gap": float(g)}
             for p, (r, g) in enumerate(zip(report.risks, report.gaps),
@@ -520,11 +515,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise DataError(f"checkpoint not found: {ckpt}")
     params, ucfg = load_checkpoint(ckpt)
     cfg = {**_resolve(args, TABLE_DEFAULTS), "lookback": ucfg.lookback,
            "horizon": ucfg.horizon}
+    out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     if ds.n_channels != ucfg.channels:
         raise ShapeError(
@@ -535,8 +529,7 @@ def cmd_eval(args) -> int:
     mse, mae = evaluate(model, test_w)
     print(f"test_mse: {mse}")
     print(f"test_mae: {mae}")
-    if args.out:
-        out = prepare_run_dir(args.out, args.force)
+    if out is not None:
         write_json(out / "config.json", {
             "command": "eval", "seed": args.seed,
             "checkpoint": str(ckpt), "data": args.data, **provenance,
@@ -607,6 +600,7 @@ def cmd_bench(args) -> int:
         raise ParameterError(f"bad --channels list '{args.channels}'") from exc
     if not channels:
         raise ParameterError("--channels lists no channel count")
+    out = prepare_run_dir(args.out, args.force) if args.out else None
     samples = analysis.bench_attention(channels, d=args.d, ratio=args.ratio,
                                        heads=args.heads, repeats=args.repeats,
                                        seed=args.seed)
@@ -621,8 +615,7 @@ def cmd_bench(args) -> int:
                  if s.channels == c and s.mechanism == "FlatAttention")
         print(f"C={c}: analytic ratio {h.score_entries / f.score_entries:.6f}"
               f"  time ratio {h.seconds / f.seconds:.4f}")
-    if args.out:
-        out = prepare_run_dir(args.out, args.force)
+    if out is not None:
         write_csv(out / "bench.csv",
                   ["channels", "d", "ratio", "heads", "mechanism", "seconds",
                    "score_entries", "blas_threads"],
@@ -670,8 +663,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISSING_DATA
+    except OSError as exc:
+        # every refused open, read, mkdir or write of a named file; the
+        # error itself carries the path and the reason
+        print(f"error: {exc.filename or args.command}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except (ParameterError, FormatError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,13 +69,11 @@ def _interpolate_channel(col: np.ndarray, label: str) -> int:
 
 
 def load_csv(path) -> TimeSeriesDataset:
-    """Read a time-major UTF-8 CSV in one pass, each row becoming a float64
-    array as it is read; a first row that does not convert is the header.
-    NaNs are linearly interpolated (edge-filled at the boundaries) and
-    counted in `repaired_cells`."""
+    """Read a time-major UTF-8 CSV in one pass, each row's floats appended
+    to one flat float64 buffer as it is read; a first row that does not
+    convert is the header.  NaNs are linearly interpolated (edge-filled at
+    the boundaries) and counted in `repaired_cells`."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
 
     def to_float(tok: str) -> float:
         tok = tok.strip()
@@ -82,10 +81,7 @@ def load_csv(path) -> TimeSeriesDataset:
             return math.nan
         return float(tok)
 
-    def floats(tokens: list[str]) -> np.ndarray:
-        return np.array([to_float(tok) for tok in tokens])
-
-    rows: list[np.ndarray] = []
+    buf = array("d")
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = filter(None, csv.reader(fh))
@@ -93,12 +89,13 @@ def load_csv(path) -> TimeSeriesDataset:
             if first is None:
                 raise FormatError(f"{path}: empty dataset file")
             try:
-                rows.append(floats(first))
+                buf.extend(map(to_float, first))
                 names = [f"ch{j}" for j in range(len(first))]
             except ValueError:
+                del buf[:]          # the floats converted before the failure
                 names = [tok.strip() for tok in first]
             # numbered as data rows: 1 is the first row after a header
-            for number, tokens in enumerate(reader, start=len(rows) + 1):
+            for number, tokens in enumerate(reader, start=2 if buf else 1):
                 # width before values, so a ragged row reads as ragged
                 if len(tokens) != len(names):
                     raise FormatError(
@@ -107,20 +104,17 @@ def load_csv(path) -> TimeSeriesDataset:
                         f"{path}: ragged row {number} has {len(tokens)} "
                         f"fields, expected {len(names)}")
                 try:
-                    rows.append(floats(tokens))
+                    buf.extend(map(to_float, tokens))
                 except ValueError as exc:
                     raise FormatError(
                         f"{path}: unparseable value in row {number}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
-    except OSError as exc:
-        # a directory or a file the process may not read
-        raise DataError(f"{path}: cannot read dataset: "
-                        f"{exc.strerror or exc}") from exc
-    if not rows:
+    if not buf:
         raise FormatError(f"{path}: no data rows")
 
-    values = np.stack(rows, axis=1)
+    # time-major in the buffer; one transposing copy makes it channel-major
+    values = np.frombuffer(buf).reshape(-1, len(names)).T.copy()
     repaired = sum(_interpolate_channel(values[c], f"{path}: channel '{name}'")
                    for c, name in enumerate(names))
     return TimeSeriesDataset(values=values, channel_names=names,

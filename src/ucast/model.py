@@ -385,8 +385,6 @@ def load_checkpoint(directory) -> tuple[ModelParams, UCastConfig]:
     """
     directory = Path(directory)
     manifest_path = directory / CHECKPOINT_MANIFEST
-    if not manifest_path.exists():
-        raise FileNotFoundError(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if manifest["format"] != CHECKPOINT_FORMAT:

@@ -25,7 +25,8 @@ from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
 from ucast import analysis, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
-from ucast.model import Forecaster, UCastConfig, param_shapes
+from ucast.model import (Forecaster, UCastConfig, param_shapes,
+                         save_checkpoint)
 from ucast.rng import Stream
 from ucast.training import TrainConfig
 from ucast.varlab import (VarProcessSpec, bayes_risk_sequence,
@@ -299,7 +300,90 @@ class TestMissingData:
         code = main(["train", "--data", str(data), *TINY_TRAIN])
         assert code == EXIT_MISSING_DATA
         assert capsys.readouterr().err == (
-            f"error: {data}: cannot read dataset: Permission denied\n")
+            f"error: {data}: Permission denied\n")
+
+
+VAR_DATA = ["--data", "var:independent:4:120"]
+RISK_CELL = ["risk", "--structure", "anti_self", "--channels", "4"]
+
+# each refused file operation: the argv, with {missing}, {dir}, {file} and
+# {ckpt} (a checkpoint whose manifest.json is a directory) standing for
+# paths, and the path its error line must name
+FILE_ERRORS = {
+    "data-missing": (["train", "--data", "{missing}", *TINY_TRAIN],
+                     "{missing}"),
+    "data-directory": (["train", "--data", "{dir}", *TINY_TRAIN], "{dir}"),
+    "config-missing": (["train", *VAR_DATA, *TINY_TRAIN,
+                        "--config", "{missing}"], "{missing}"),
+    "config-directory": (["train", *VAR_DATA, *TINY_TRAIN,
+                          "--config", "{dir}"], "{dir}"),
+    "spec-file-missing": (["risk", "--spec-file", "{missing}"], "{missing}"),
+    "spec-file-directory": (["risk", "--spec-file", "{dir}"], "{dir}"),
+    "checkpoint-missing": (["eval", "--checkpoint", "{missing}", *VAR_DATA],
+                           "{missing}/manifest.json"),
+    "checkpoint-file": (["eval", "--checkpoint", "{file}", *VAR_DATA],
+                        "{file}/manifest.json"),
+    "checkpoint-manifest-directory": (
+        ["eval", "--checkpoint", "{ckpt}", *VAR_DATA],
+        "{ckpt}/manifest.json"),
+    **{f"{name}-out-{kind}": ([*argv, "--out", out], out)
+       for name, argv in (("train", ["train", *VAR_DATA, *TINY_TRAIN]),
+                          ("risk", RISK_CELL), ("synth", ["synth"]))
+       for kind, out in (("file", "{file}"), ("under-file", "{file}/sub"))},
+}
+
+# each command's argv and the first piece of work that follows its --out
+# check, as (module, attribute) to patch
+WORK_AFTER_OUT = {
+    "synth": (["synth"], cli.bl, "run_ci_cd_experiment"),
+    "risk": (RISK_CELL, cli, "bayes_risk_sequence"),
+    "bench": (["bench", "--channels", "8"], analysis, "bench_attention"),
+    "eval": (["eval", *VAR_DATA], cli, "resolve_data"),
+    "train": (["train", *VAR_DATA, *TINY_TRAIN], cli, "resolve_data"),
+    "ablate": (["ablate", *VAR_DATA, *TINY_TRAIN], cli, "resolve_data"),
+    "sweep": (["sweep", *VAR_DATA, *TINY_TRAIN, "--param", "alpha"], cli,
+              "resolve_data"),
+}
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("case", FILE_ERRORS)
+    def test_refused_file_is_one_line(self, case, tmp_path, capsys):
+        paths = {"missing": tmp_path / "absent", "dir": tmp_path / "dir",
+                 "file": tmp_path / "plain", "ckpt": tmp_path / "ckpt"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        (paths["ckpt"] / "manifest.json").mkdir(parents=True)
+        argv, named = FILE_ERRORS[case]
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_MISSING_DATA, captured.err
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"error: {named.format(**paths)}: ")
+
+    @pytest.mark.parametrize("command", WORK_AFTER_OUT)
+    def test_out_checked_before_work(self, command, tmp_path, capsys,
+                                     monkeypatch):
+        argv, module, work = WORK_AFTER_OUT[command]
+
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{command} began {work} before --out")
+
+        monkeypatch.setattr(module, work, reached)
+        if command == "eval":
+            cfg = UCastConfig(channels=4, lookback=8, horizon=2, d=8, ratio=2)
+            save_checkpoint(tmp_path / "ckpt", Forecaster(cfg).params, cfg)
+            argv = [*argv, "--checkpoint", str(tmp_path / "ckpt")]
+        occupied, plain = tmp_path / "run", tmp_path / "plain"
+        occupied.mkdir()
+        (occupied / "config.json").write_text("{}")
+        plain.write_text("")
+        assert main([*argv, "--out", str(occupied)]) == EXIT_USAGE
+        assert "already holds a run" in capsys.readouterr().err
+        assert main([*argv, "--out", str(plain)]) == EXIT_MISSING_DATA
+        assert capsys.readouterr().err == f"error: {plain}: File exists\n"
 
 
 def write_series_csv(path, steps=120):
