@@ -280,9 +280,17 @@ def bench_attention(channel_list, d: int = 64,
     samples = []
     for channels in channel_list:
         latent = max(1, channels // ratio)
-        passes = {"HLQN": _attention_pass(channels, d, latent, heads, seed),
-                  "FlatAttention": _attention_pass(channels, d, channels,
-                                                   heads, seed)}
+        try:
+            passes = {"HLQN": _attention_pass(channels, d, latent, heads, seed),
+                      "FlatAttention": _attention_pass(channels, d, channels,
+                                                       heads, seed)}
+        except MemoryError as exc:
+            # channels x d sizes a pass's inputs; numpy refuses an
+            # oversized request up front
+            raise ParameterError(
+                f"bench: channels={channels} at d={d}: the attention inputs "
+                "do not fit in memory; use fewer channels or a smaller d"
+            ) from exc
         times = {mechanism: [] for mechanism in passes}
         with _single_thread_limit() as blas_threads:
             for run_once in passes.values():

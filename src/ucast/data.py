@@ -70,9 +70,10 @@ def _interpolate_channel(col: np.ndarray, label: str) -> int:
 
 def load_csv(path) -> TimeSeriesDataset:
     """Read a time-major UTF-8 CSV in one pass, each row's floats appended
-    to one flat float64 buffer as it is read; a first row that does not
-    convert is the header.  NaNs are linearly interpolated (edge-filled at
-    the boundaries) and counted in `repaired_cells`."""
+    to one flat float64 buffer as it is read, by float() unless the row
+    holds a missing token; a first row that does not convert is the
+    header.  NaNs are linearly interpolated (edge-filled at the
+    boundaries) and counted in `repaired_cells`."""
     path = Path(path)
 
     def to_float(tok: str) -> float:
@@ -103,11 +104,19 @@ def load_csv(path) -> TimeSeriesDataset:
                         f"have {len(tokens)}" if number == 1 else
                         f"{path}: ragged row {number} has {len(tokens)} "
                         f"fields, expected {len(names)}")
+                # float() strips the whitespace str.strip() does and reads
+                # every spelling of nan, so only a row holding another
+                # missing token, or a bad one, needs the per-token rules
+                start = len(buf)
                 try:
-                    buf.extend(map(to_float, tokens))
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}: unparseable value in row {number}") from exc
+                    buf.extend(map(float, tokens))
+                except ValueError:
+                    del buf[start:]     # the floats converted before the failure
+                    try:
+                        buf.extend(map(to_float, tokens))
+                    except ValueError as exc:
+                        raise FormatError(
+                            f"{path}: unparseable value in row {number}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
     if not buf:

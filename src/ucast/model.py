@@ -196,14 +196,30 @@ def instance_normalize(x: np.ndarray
 @dataclass
 class ForwardTrace:
     config: UCastConfig
-    h_nodes: list[Node]          # H^0 .. H^L
-    attn_down: list[np.ndarray]  # per stage, head-averaged, [B x] C_l x C_{l-1}
-    attn_up: list[np.ndarray]    # per stage, head-averaged, [B x] C_{l-1} x C_l
+    h_nodes: list[Node]                 # H^0 .. H^L
+    down_heads: list[list[np.ndarray]]  # per stage and head, [B x] C_l x C_{l-1}
+    up_heads: list[list[np.ndarray]]    # per stage and head, [B x] C_{l-1} x C_l
     y: Node
 
     @property
     def prediction(self) -> np.ndarray:
         return self.y.value
+
+    @property
+    def attn_down(self) -> list[np.ndarray]:
+        """Per compression stage, the head-averaged map, built on each read."""
+        return [_head_mean(maps) for maps in self.down_heads]
+
+    @property
+    def attn_up(self) -> list[np.ndarray]:
+        """Per expansion stage, the head-averaged map, built on each read."""
+        return [_head_mean(maps) for maps in self.up_heads]
+
+
+def _head_mean(maps: list[np.ndarray]) -> np.ndarray:
+    """The heads' maps added in order and divided by the head count; a
+    single head's map as it is."""
+    return maps[0] if len(maps) == 1 else sum(maps[1:], maps[0]) / len(maps)
 
 
 def _rows(node: Node) -> int:
@@ -224,9 +240,9 @@ def _chain(tape: Tape, a: Node, b: Node, c: Node) -> Node:
 
 def _attention(tape: Tape, query_rows: Node, key_rows: Node,
                w_q: Node, w_k: Node, w_v: Node, w_o: Node, heads: int
-               ) -> tuple[Node, np.ndarray]:
+               ) -> tuple[Node, list[np.ndarray]]:
     """Scaled dot-product attention of query_rows over key_rows, which are
-    also the values; returns (output, head-averaged map as a plain array).
+    also the values; returns (output, each head's softmax map, uncopied).
 
     Head h is softmax((X W_q,h)(K W_k,h)^T / sqrt(d_h)) (K W_v,h) W_o,h on
     its columns of W_q, W_k, W_v and rows of W_o; the heads sum.  The
@@ -242,7 +258,7 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
     if heads > 1:
         w_o = tape.transpose(w_o)
     out = None
-    attn_sum = None
+    maps = []
     for h in range(heads):
         wq, wk, wv, wo = w_q, w_k, w_v, w_o
         if heads > 1:
@@ -262,8 +278,8 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
         else:
             head_out = tape.matmul(attn, _chain(tape, key_rows, wv, wo))
         out = head_out if out is None else tape.add(out, head_out)
-        attn_sum = attn.value if attn_sum is None else attn_sum + attn.value
-    return out, attn_sum / heads if heads > 1 else attn_sum
+        maps.append(attn.value)
+    return out, maps
 
 
 def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
@@ -278,9 +294,9 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
 
     h = tape.matmul(tape.constant(x_norm), nodes["w_in"])
     h_nodes = [h]
-    attn_down = []
+    down_heads = []
     for level in range(1, config.layers + 1):
-        out, attn = _attention(
+        out, maps = _attention(
             tape, nodes[f"enc{level}.query"], h,
             nodes[f"enc{level}.w_q"], nodes[f"enc{level}.w_k"],
             nodes[f"enc{level}.w_v"], nodes[f"enc{level}.w_o"], config.heads)
@@ -288,29 +304,29 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                             nodes[f"enc{level}.ln_bias"])
         require_finite(h.value, f"activations after compression stage {level}")
         h_nodes.append(h)
-        attn_down.append(attn)
+        down_heads.append(maps)
 
     u = tape.matmul(h_nodes[-1], nodes["f_pred"])
-    attn_up = []
+    up_heads = []
     if config.variant == "no_upsampling":
         u = tape.matmul(nodes["restore"], u)
         require_finite(u.value, "activations after channel restore")
     else:
         for level in range(config.layers, 0, -1):
             skip = h_nodes[level - 1]
-            out, attn = _attention(
+            out, maps = _attention(
                 tape, skip, u,
                 nodes[f"dec{level}.w_q"], nodes[f"dec{level}.w_k"],
                 nodes[f"dec{level}.w_v"], nodes[f"dec{level}.w_o"], config.heads)
             u = tape.add(out, skip)
             require_finite(u.value, f"activations after expansion stage {level}")
-            attn_up.append(attn)
+            up_heads.append(maps)
 
     y_norm = tape.matmul(tape.add(u, h_nodes[0]), nodes["w_out"])
     y = tape.row_affine_const(y_norm, scale, mean)
     require_finite(y.value, "activations after prediction")
-    return ForwardTrace(config=config, h_nodes=h_nodes, attn_down=attn_down,
-                        attn_up=attn_up, y=y)
+    return ForwardTrace(config=config, h_nodes=h_nodes, down_heads=down_heads,
+                        up_heads=up_heads, y=y)
 
 
 def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:

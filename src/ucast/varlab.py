@@ -34,8 +34,13 @@ STATIONARY_TOL = 1e-12
 STATIONARY_MAX_DOUBLINGS = 64
 # sample rows drawn and scored per product in monte_carlo_risks: the draws
 # and the residuals are held one MC_BLOCK_ROWS x C block at a time, so its
-# memory does not grow with the sample count
-MC_BLOCK_ROWS = 4096
+# memory does not grow with the sample count.  At C = 128 a block is 1 MiB,
+# so the draws, the residuals and the C x C weights stay in a 2 MiB L2.  In
+# a sweep of 512 to 4,096 rows (BENCH_mc_blocks.json) the peak fell with the
+# block, and 1,024 was the smallest block that cost no time at C = 128 and
+# C = 1,024.  Rows, not a per-value budget: each product repacks the C x C
+# weights, which a fixed 1,024 rows amortize at any C
+MC_BLOCK_ROWS = 1024
 # the risk oracles refuse a spec whose R_C rounding bound exceeds this share
 # of the noise floor, the sixth digit the risk table prints
 FLOOR_RESOLUTION = 1e-6
@@ -351,7 +356,10 @@ def monte_carlo_risks(spec: VarProcessSpec, n_samples: int, seed: int = 0,
     times w_1..p, so every residual y - z_t[:p] . coeffs_p is
     g . L^T (A_target - coeffs_p) + eps, and all subset sizes are scored by
     one product per row block.  g and eps are drawn in the same row blocks,
-    so the call holds O(MC_BLOCK_ROWS x C + C^2) values whatever n_samples.
+    so the call holds one MC_BLOCK_ROWS x C block of draws, one of
+    residuals and a few C x C matrices, whatever n_samples: about 3 MiB
+    traced at C = 128.  Each block is one product and one partial sum, so
+    the block size moves the sampled risks in their last bits only.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")

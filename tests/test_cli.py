@@ -1103,6 +1103,17 @@ class TestBench:
                      "--repeats", "0"]) == EXIT_USAGE
         assert "repeats" in capsys.readouterr().err
 
+    def test_out_of_memory_names_the_setting(self, monkeypatch, capsys):
+        # numpy's refusal is raised by a stand-in, so nothing is allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 47.7 GiB for an array with "
+                              "shape (3200000000, 2) and data type float64")
+        monkeypatch.setattr(Stream, "normal_matrix", out_of_memory)
+        assert main(["bench", "--channels", "100000000"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "channels=100000000 at d=64")
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

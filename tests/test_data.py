@@ -1,20 +1,82 @@
 """Ingestion, windowing, splitting, and normalization contracts."""
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucast.data import (TimeSeriesDataset, WindowBatch, load_csv,
-                        sliding_windows, split_chronological, zscore_apply,
-                        zscore_fit)
+from ucast.data import (TimeSeriesDataset, WindowBatch, _interpolate_channel,
+                        load_csv, sliding_windows, split_chronological,
+                        zscore_apply, zscore_fit)
 from ucast.errors import DataError, FormatError, ParameterError, ShapeError
 from ucast.rng import Stream
 
 
 def make_series(c=3, n=50, seed=0):
     return Stream(seed, (c, n)).normal((c, n))
+
+
+def pad(token):
+    return st.tuples(st.sampled_from(["", " ", "\t", "\xa0", "\u2003"]),
+                     st.sampled_from(["", " ", "\t", "\x0b"])).map(
+        lambda ends: ends[0] + token + ends[1])
+
+
+# CSV cells: numbers as repr, in exponent form and with underscores, nan in
+# any case, the missing tokens, infinities and unparseable text, each with
+# whitespace on either side
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "2.5e3", "-0", "inf", "-Infinity"]),
+    st.tuples(*map(st.sampled_from, ("nN", "aA", "nN"))).map("".join),
+    st.sampled_from(["", "NA", "na", "null", "NULL", "None", "none"]),
+    st.sampled_from(["x", "1..2", "1,5", "_1", "nan nan", "0x10"]),
+).flatmap(pad)
+
+
+def per_token_load(path):
+    """load_csv's rules one token at a time: strip it, read a missing token
+    as NaN and any other through float(); the first row is the header
+    exactly when it does not convert."""
+    def convert(tok):
+        tok = tok.strip()
+        if tok.lower() in {"", "nan", "na", "null", "none"}:
+            return math.nan
+        return float(tok)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    try:
+        values = [[convert(tok) for tok in rows[0]]]
+        names = [f"ch{j}" for j in range(len(rows[0]))]
+    except ValueError:
+        values, names = [], [tok.strip() for tok in rows[0]]
+    # the rows are drawn of one width, so none is ragged
+    for number, row in enumerate(rows[1:], start=2 if values else 1):
+        try:
+            values.append([convert(tok) for tok in row])
+        except ValueError:
+            raise FormatError(
+                f"{path}: unparseable value in row {number}") from None
+    if not values:
+        raise FormatError(f"{path}: no data rows")
+    array = np.array(values).T.copy()
+    repaired = sum(_interpolate_channel(array[c], f"{path}: channel '{name}'")
+                   for c, name in enumerate(names))
+    return TimeSeriesDataset(array, names, repaired)
+
+
+def load_outcome(loader, path):
+    """What a loader made of the file: names, value bytes and repaired
+    count, or the refusal's type and message."""
+    try:
+        ds = loader(path)
+    except (FormatError, DataError) as exc:
+        return type(exc), str(exc)
+    return ds.channel_names, ds.values.tobytes(), ds.repaired_cells
 
 
 class TestDataset:
@@ -182,6 +244,19 @@ class TestLoadCsv:
         assert ds.values.ndim == 2 and ds.values.shape[1] >= 1
         assert len(ds.channel_names) == ds.n_channels
         assert np.all(np.isfinite(ds.values))
+
+    @given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(CELLS, min_size=width, max_size=width), min_size=1,
+        max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_convert_as_token_by_token(self, tmp_path_factory, rows):
+        # a row converts through float() unless a token needs the missing
+        # rules or is bad; either way it must read as the per-token rules do
+        path = tmp_path_factory.mktemp("cells") / "d.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert load_outcome(load_csv, path) == load_outcome(
+            per_token_load, path)
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

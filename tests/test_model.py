@@ -293,14 +293,15 @@ def reference_attention(tape, query_rows, key_rows, w_q, w_k, w_v, w_o,
     row through W_q and W_k, every value row through W_v, per-head column
     slices of those activations, and the concatenated heads through W_o.
     The concatenation is a sum of products with 0/1 placement matrices,
-    which moves every value unchanged."""
+    which moves every value unchanged.  Returns the output and each head's
+    map, as the model's _attention does."""
     d = w_q.value.shape[0]
     d_head = d // heads
     q = tape.matmul(query_rows, w_q)
     k = tape.matmul(key_rows, w_k)
     v = tape.matmul(key_rows, w_v)
     merged = None
-    attn_sum = 0.0
+    maps = []
     for h in range(heads):
         lo, hi = h * d_head, (h + 1) * d_head
         q_h, k_h, v_h = (tape.slice_cols(m, lo, hi) if heads > 1 else m
@@ -314,8 +315,8 @@ def reference_attention(tape, query_rows, key_rows, w_q, w_k, w_v, w_o,
             place[:, lo:hi] = np.eye(d_head)
             head_out = tape.matmul(head_out, tape.constant(place))
         merged = head_out if merged is None else tape.add(merged, head_out)
-        attn_sum = attn_sum + attn.value
-    return tape.matmul(merged, w_o), attn_sum / heads
+        maps.append(attn.value)
+    return tape.matmul(merged, w_o), maps
 
 
 def o1_model(variant, heads):
@@ -367,6 +368,38 @@ class TestReassociation:
                              ref.attn_down + ref.attn_up):
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_head_maps_averaged_only_when_read(self, monkeypatch):
+        model = o1_model("full", 2)
+        cfg = model.config
+        x = Stream(5, (54,)).normal((3, cfg.channels, cfg.lookback))
+        trace = model.trace(x)
+        monkeypatch.setattr(model_module, "_attention", reference_attention)
+        ref = model.trace(x)
+        for got, heads in zip(trace.attn_down + trace.attn_up,
+                              ref.down_heads + ref.up_heads):
+            assert len(heads) == 2
+            assert np.allclose(got, np.mean(heads, axis=0), rtol=1e-12,
+                               atol=1e-15)
+        monkeypatch.undo()
+
+        # a training step never builds the averaged maps
+        def unread(trace):
+            raise AssertionError("head-averaged map built")
+        monkeypatch.setattr(model_module.ForwardTrace, "attn_down",
+                            property(unread))
+        monkeypatch.setattr(model_module.ForwardTrace, "attn_up",
+                            property(unread))
+        loss, _ = batch_gradients(model, x, np.zeros((3, cfg.channels,
+                                                      cfg.horizon)))
+        assert np.isfinite(loss)
+
+    def test_one_head_map_is_the_softmax_itself(self):
+        model = o1_model("full", 1)
+        trace = model.trace(window(model.config))
+        for got, heads in zip(trace.attn_down + trace.attn_up,
+                              trace.down_heads + trace.up_heads):
+            assert got is heads[0]
 
 
 def weight_products_over_wide_rows(attention, heads, monkeypatch):

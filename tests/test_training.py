@@ -563,3 +563,64 @@ class TestBatchContract:
             alone = model.predict(x[i])
             scale = np.abs(stacked[i]).max()
             assert np.abs(alone - stacked[i]).max() <= 1.1e-15 * scale, i
+
+
+def loss_value(model, x, y) -> float:
+    """The batch loss from an untaped forward pass."""
+    tape = Tape()
+    nodes = {k: tape.constant(v) for k, v in model.params.items()}
+    return float(model.build_loss(tape, nodes, x, y).value)
+
+
+def directional_errors(model, x, y, steps, directions=4, seed=0):
+    """|grad L| from batch_gradients over all trainable blocks, and for each
+    of `directions` seeded unit directions v: <grad L, v> and, for each step
+    eps, its distance to the central difference
+    (L(p + eps v) - L(p - eps v)) / 2 eps.  Each direction costs two forward
+    passes per step, whatever the parameter count."""
+    _, grads = batch_gradients(model, x, y)
+    grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    base = model.params
+    results = []
+    for k in range(directions):
+        stream = Stream(seed, (97, k))
+        v = {name: stream.normal(base[name].shape) for name in grads}
+        norm = math.sqrt(sum(float(np.vdot(u, u)) for u in v.values()))
+        v = {name: u / norm for name, u in v.items()}
+        slope = sum(float(np.vdot(grads[name], u)) for name, u in v.items())
+        errors = []
+        for eps in steps:
+            ends = []
+            for sign in (1.0, -1.0):
+                model.params = {**base, **{name: base[name] + sign * eps * u
+                                           for name, u in v.items()}}
+                ends.append(loss_value(model, x, y))
+            model.params = base
+            errors.append(abs((ends[0] - ends[1]) / (2 * eps) - slope))
+        results.append((slope, errors))
+    return grad_norm, results
+
+
+class TestDirectionalGradients:
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_desk_stack_matches_central_differences(self, variant, heads):
+        # a B=4 stack at desk width, with weights of 0.3 std added so the
+        # attention maps are far from uniform.  Measured over these 40
+        # directions (2 vCPU, numpy 2.4.6): the error at eps=1e-3 is at
+        # most 2.1e-8 |grad L|, and it falls by 99.4x or more from
+        # eps=1e-2, as eps^2 predicts (100x).  A gradient wrong along v
+        # leaves an error that does not fall with eps.
+        model = Forecaster(build_variant(tiny_config(
+            channels=64, lookback=32, horizon=8, d=32, ratio=4, heads=heads),
+            variant))
+        for i, (name, value) in enumerate(model.params.items()):
+            model.params[name] = value + Stream(i, (86,)).normal(
+                value.shape) * 0.3
+        stream = Stream(2, (98,))
+        x = stream.normal((4, 64, 32))
+        y = stream.normal((4, 64, 8))
+        grad_norm, results = directional_errors(model, x, y, (1e-2, 1e-3))
+        for slope, (coarse, fine) in results:
+            assert fine <= 1e-7 * grad_norm, (slope, fine / grad_norm)
+            assert coarse >= 50 * fine, (slope, coarse / fine)

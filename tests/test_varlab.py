@@ -421,14 +421,19 @@ class TestMonteCarlo:
             assert mc[p] == pytest.approx(closed[p - 1], rel=0.02)
 
     @pytest.mark.parametrize("n_samples",
-                             [1, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS + 1])
-    def test_blocked_matches_per_p_reference(self, n_samples):
+                             [1, 4 * MC_BLOCK_ROWS - 1, 4 * MC_BLOCK_ROWS + 1])
+    def test_blocked_matches_per_p_reference(self, n_samples, monkeypatch):
+        # the draws are the same at any block size, so the block size moves
+        # only the last bits of the scored sums
         spec = random_stable_spec(5, 17)
-        got = monte_carlo_risks(spec, n_samples=n_samples, seed=4, target=1)
         want = per_p_monte_carlo(spec, n_samples, seed=4, target=1)
-        assert list(got) == list(want)
-        for p in want:
-            assert got[p] == pytest.approx(want[p], rel=1e-12)
+        for block_rows in (MC_BLOCK_ROWS, 7, 1024, 4096):
+            monkeypatch.setattr(varlab, "MC_BLOCK_ROWS", block_rows)
+            got = monte_carlo_risks(spec, n_samples=n_samples, seed=4,
+                                    target=1)
+            assert list(got) == list(want)
+            for p in want:
+                assert got[p] == pytest.approx(want[p], rel=1e-12), block_rows
 
     def test_memory_does_not_grow_with_samples(self):
         c = 128
