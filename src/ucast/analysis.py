@@ -284,21 +284,22 @@ def bench_attention(channel_list, d: int = 64,
             passes = {"HLQN": _attention_pass(channels, d, latent, heads, seed),
                       "FlatAttention": _attention_pass(channels, d, channels,
                                                        heads, seed)}
+            times = {mechanism: [] for mechanism in passes}
+            with _single_thread_limit() as blas_threads:
+                for run_once in passes.values():
+                    for _ in range(BENCH_WARMUPS):
+                        run_once()
+                for _ in range(repeats):
+                    for mechanism, run_once in passes.items():
+                        times[mechanism].append(run_once())
         except MemoryError as exc:
-            # channels x d sizes a pass's inputs; numpy refuses an
-            # oversized request up front
+            # channels x d sizes a pass's inputs and channels x channels
+            # the flat pass's scores; numpy refuses an oversized request
+            # up front
             raise ParameterError(
-                f"bench: channels={channels} at d={d}: the attention inputs "
-                "do not fit in memory; use fewer channels or a smaller d"
+                f"bench: channels={channels} at d={d}: an attention pass "
+                "does not fit in memory; use fewer channels or a smaller d"
             ) from exc
-        times = {mechanism: [] for mechanism in passes}
-        with _single_thread_limit() as blas_threads:
-            for run_once in passes.values():
-                for _ in range(BENCH_WARMUPS):
-                    run_once()
-            for _ in range(repeats):
-                for mechanism, run_once in passes.items():
-                    times[mechanism].append(run_once())
         for mechanism, seconds in times.items():
             samples.append(CostSample(
                 channels=channels, d=d, ratio=ratio, heads=heads,

@@ -105,15 +105,15 @@ def load_csv(path) -> TimeSeriesDataset:
                         f"{path}: ragged row {number} has {len(tokens)} "
                         f"fields, expected {len(names)}")
                 # float() strips the whitespace str.strip() does and reads
-                # every spelling of nan, so only a row holding another
-                # missing token, or a bad one, needs the per-token rules
+                # every spelling of nan; from a token it refuses (another
+                # missing token, or a bad one) the row goes on through the
+                # per-token rules, after the floats extend() kept
                 start = len(buf)
                 try:
                     buf.extend(map(float, tokens))
                 except ValueError:
-                    del buf[start:]     # the floats converted before the failure
                     try:
-                        buf.extend(map(to_float, tokens))
+                        buf.extend(map(to_float, tokens[len(buf) - start:]))
                     except ValueError as exc:
                         raise FormatError(
                             f"{path}: unparseable value in row {number}") from exc

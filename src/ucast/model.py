@@ -197,8 +197,10 @@ def instance_normalize(x: np.ndarray
 class ForwardTrace:
     config: UCastConfig
     h_nodes: list[Node]                 # H^0 .. H^L
-    down_heads: list[list[np.ndarray]]  # per stage and head, [B x] C_l x C_{l-1}
-    up_heads: list[list[np.ndarray]]    # per stage and head, [B x] C_{l-1} x C_l
+    # per stage, the maps _attention returned, each [B x] C_l x C_{l-1}
+    # going down and [B x] C_{l-1} x C_l going up
+    down_heads: list[list[np.ndarray]]
+    up_heads: list[list[np.ndarray]]
     y: Node
 
     @property
@@ -208,18 +210,20 @@ class ForwardTrace:
     @property
     def attn_down(self) -> list[np.ndarray]:
         """Per compression stage, the head-averaged map, built on each read."""
-        return [_head_mean(maps) for maps in self.down_heads]
+        return [_head_mean(maps, self.config.heads)
+                for maps in self.down_heads]
 
     @property
     def attn_up(self) -> list[np.ndarray]:
         """Per expansion stage, the head-averaged map, built on each read."""
-        return [_head_mean(maps) for maps in self.up_heads]
+        return [_head_mean(maps, self.config.heads)
+                for maps in self.up_heads]
 
 
-def _head_mean(maps: list[np.ndarray]) -> np.ndarray:
-    """The heads' maps added in order and divided by the head count; a
-    single head's map as it is."""
-    return maps[0] if len(maps) == 1 else sum(maps[1:], maps[0]) / len(maps)
+def _head_mean(maps: list[np.ndarray], heads: int) -> np.ndarray:
+    """The maps added in order and divided by the head count; a single
+    head's map as it is."""
+    return maps[0] if heads == 1 else sum(maps[1:], maps[0]) / heads
 
 
 def _rows(node: Node) -> int:
@@ -242,7 +246,9 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
                w_q: Node, w_k: Node, w_v: Node, w_o: Node, heads: int
                ) -> tuple[Node, list[np.ndarray]]:
     """Scaled dot-product attention of query_rows over key_rows, which are
-    also the values; returns (output, each head's softmax map, uncopied).
+    also the values; returns (output, maps): each head's softmax map,
+    uncopied, or, when the tape records none of them, their running sum,
+    so an untaped pass holds one map per stage, not one per head.
 
     Head h is softmax((X W_q,h)(K W_k,h)^T / sqrt(d_h)) (K W_v,h) W_o,h on
     its columns of W_q, W_k, W_v and rows of W_o; the heads sum.  The
@@ -278,7 +284,10 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
         else:
             head_out = tape.matmul(attn, _chain(tape, key_rows, wv, wo))
         out = head_out if out is None else tape.add(out, head_out)
-        maps.append(attn.value)
+        if maps and not attn.requires_grad:
+            maps[0] = maps[0] + attn.value
+        else:
+            maps.append(attn.value)
     return out, maps
 
 

@@ -1114,6 +1114,20 @@ class TestBench:
         assert captured.out == ""
         assert_one_error_line(captured.err, "channels=100000000 at d=64")
 
+    def test_pass_out_of_memory_names_the_setting(self, monkeypatch, capsys):
+        # the flat pass's channels x channels scores, refused by a
+        # stand-in inside the warm-up, after the inputs are built
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array "
+                              "with shape (200000, 200000) and data type "
+                              "float64")
+        monkeypatch.setattr(analysis, "_attention", out_of_memory)
+        assert main(["bench", "--channels", "8", "--d", "8",
+                     "--repeats", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "channels=8 at d=8")
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

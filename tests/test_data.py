@@ -250,8 +250,9 @@ class TestLoadCsv:
         max_size=8)))
     @settings(max_examples=300, deadline=None)
     def test_rows_convert_as_token_by_token(self, tmp_path_factory, rows):
-        # a row converts through float() unless a token needs the missing
-        # rules or is bad; either way it must read as the per-token rules do
+        # a row converts through float() up to a token that needs the
+        # missing rules or is bad, and on from there through those rules;
+        # either way it must read as the per-token rules do
         path = tmp_path_factory.mktemp("cells") / "d.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rows)

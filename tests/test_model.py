@@ -11,7 +11,8 @@ from conftest import JSON_SCALARS, REFUSED, read_as, tiny_config
 from ucast import model as model_module
 from ucast.errors import FormatError, ParameterError, ShapeError
 from ucast.model import (Forecaster, UCastConfig, VARIANTS, build_variant,
-                         init_params, instance_normalize, ladder_sizes,
+                         forward_from_nodes, init_params,
+                         instance_normalize, ladder_sizes,
                          load_checkpoint, param_shapes, save_checkpoint,
                          total_loss, trainable_names)
 from ucast.autodiff import Tape
@@ -400,6 +401,24 @@ class TestReassociation:
         for got, heads in zip(trace.attn_down + trace.attn_up,
                               trace.down_heads + trace.up_heads):
             assert got is heads[0]
+
+    def test_untaped_trace_keeps_one_map_per_stage(self):
+        # off the tape each head's map is added to a running sum and dies;
+        # on it every head's map lives on the tape anyway, and is kept
+        model = o1_model("full", 4)
+        x = window(model.config)
+        untaped = model.trace(x)
+        tape = Tape()
+        nodes = {name: tape.leaf(value, requires_grad=True)
+                 for name, value in model.params.items()}
+        taped = forward_from_nodes(nodes, model.config, x, tape)
+        assert [len(maps) for maps in untaped.down_heads + untaped.up_heads] \
+            == [1] * 4
+        assert [len(maps) for maps in taped.down_heads + taped.up_heads] \
+            == [4] * 4
+        for got, want in zip(untaped.attn_down + untaped.attn_up,
+                             taped.attn_down + taped.attn_up):
+            assert np.array_equal(got, want)
 
 
 def weight_products_over_wide_rows(attention, heads, monkeypatch):
