@@ -49,10 +49,16 @@ def effective_rank(h: np.ndarray) -> int:
     h = as_matrix(h, "effective_rank input")
     rows, cols = h.shape
     gram = h @ h.T if rows <= cols else h.T @ h
-    eigs = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
-    if eigs[0] == 0.0:
+    return _gram_rank(np.linalg.eigvalsh(gram)[::-1])
+
+
+def _gram_rank(eigs: np.ndarray) -> int:
+    """The rank count of effective_rank from the descending eigenvalues of
+    a Gram matrix, or of any positive multiple of one: singular values are
+    their square roots, and the ratio to the largest ignores the multiple."""
+    singular = np.sqrt(np.clip(eigs, 0.0, None))
+    if singular[0] == 0.0:
         return 0
-    singular = np.sqrt(eigs)
     return int(np.sum(singular >= RANK_TOL_RATIO * singular[0]))
 
 
@@ -105,7 +111,9 @@ def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
     The covariance is H H^T / d as in the training penalty; the entropy and
     log-det use the same ridge as the penalty so trajectories line up with
     the optimized quantity.  One Cholesky log-det of the ridged covariance
-    gives both, the entropy by the arithmetic of entropy().
+    gives both, the entropy by the arithmetic of entropy().  The
+    covariance's eigenvalues give the effective rank as well, since H H^T
+    is a Gram matrix of H.
     """
     eps = trace.config.eps_cov
     out = []
@@ -114,11 +122,12 @@ def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
         n, d = h.shape
         sigma = (h @ h.T) / float(d)
         logdet = cholesky_logdet(sigma + eps * np.eye(n))
+        eigs = np.linalg.eigvalsh(sigma)[::-1]
         out.append(SpectrumSnapshot(
             epoch=epoch,
             layer=layer,
-            eigenvalues=np.linalg.eigvalsh(sigma)[::-1].tolist(),
-            effective_rank=effective_rank(h),
+            eigenvalues=eigs.tolist(),
+            effective_rank=_gram_rank(eigs),
             entropy=0.5 * (n * LOG_2PIE + logdet),
             logdet=logdet,
             offdiag_mass=offdiagonal_mass(sigma),

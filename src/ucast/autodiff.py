@@ -214,15 +214,18 @@ class Tape:
 
         return self._emit(out, backward)
 
-    def slice_cols(self, m: Node, j0: int, j1: int) -> Node:
-        if not (0 <= j0 < j1 <= m.value.shape[-1]):
-            raise ShapeError(
-                f"slice_cols: [{j0}:{j1}] out of range for {m.value.shape}")
-        out = Node(m.value[..., j0:j1], m.requires_grad)
+    def slice(self, m: Node, j0: int, j1: int, axis: int = -1) -> Node:
+        """Columns (axis=-1) or rows (axis=-2) j0:j1 of a window or a
+        stack, as a view."""
+        if axis not in (-1, -2) or not 0 <= j0 < j1 <= m.value.shape[axis]:
+            raise ShapeError(f"slice: [{j0}:{j1}] on axis {axis} out of "
+                             f"range for {m.value.shape}")
+        cut = (..., slice(j0, j1)) + (slice(None),) * (-1 - axis)
+        out = Node(m.value[cut], m.requires_grad)
 
         def backward(g):
             full = np.zeros_like(m.value)
-            full[..., j0:j1] = g
+            full[cut] = g
             _accumulate(m, full)
 
         return self._emit(out, backward)

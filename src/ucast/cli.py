@@ -181,6 +181,12 @@ def resolve_data(data_arg: str, steps: int, seed: int
             gen_steps = int(parts[3]) if len(parts) == 4 else steps
         except ValueError as exc:
             raise ParameterError(f"bad --data numbers in '{data_arg}'") from exc
+        if gen_steps <= bl.SERIES_BURN_IN:
+            # simulate discards the first SERIES_BURN_IN steps as burn-in
+            raise ParameterError(
+                f"--data {data_arg}: {gen_steps} steps, need at least "
+                f"{bl.SERIES_BURN_IN + 1} to outlast the "
+                f"{bl.SERIES_BURN_IN}-step burn-in")
         try:
             spec = make_var_spec(structure, channels, seed=seed)
             series = simulate(spec, gen_steps, bl.SERIES_BURN_IN)
@@ -443,8 +449,10 @@ def cmd_risk(args) -> int:
     return EXIT_OK
 
 
-def _parse_snapshot_epochs(text: str) -> tuple[set[int], bool]:
-    """Parse "0,5,final" into (epoch set, include final flag)."""
+def _parse_snapshot_epochs(text: str, max_epochs: int
+                           ) -> tuple[set[int], bool]:
+    """Parse "0,5,final" into (epoch set, include final flag); an epoch
+    outside 0..max_epochs, which no run reaches, is refused."""
     epochs: set[int] = set()
     include_final = False
     for token in text.split(","):
@@ -453,24 +461,31 @@ def _parse_snapshot_epochs(text: str) -> tuple[set[int], bool]:
             continue
         if token == "final":
             include_final = True
-        else:
-            try:
-                epochs.add(int(token))
-            except ValueError as exc:
-                raise ParameterError(
-                    f"bad snapshot epoch '{token}'") from exc
+            continue
+        try:
+            epoch = int(token)
+        except ValueError as exc:
+            raise ParameterError(f"bad snapshot epoch '{token}'") from exc
+        if not 0 <= epoch <= max_epochs:
+            raise ParameterError(
+                f"snapshot epoch {epoch} outside 0..{max_epochs}: no run "
+                f"with max_epochs={max_epochs} reaches it")
+        epochs.add(epoch)
     return epochs, include_final
 
 
 def cmd_train(args) -> int:
     cfg = _resolve(args, TABLE_DEFAULTS)
+    # its own rules refuse a max_epochs below 1 before the epochs are read
+    tcfg = train_config(cfg)
+    snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"],
+                                                     tcfg.max_epochs)
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     # built first, so its own rules refuse a zero lookback or horizon
     ucfg = model_config(cfg, ds.n_channels)
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     model = Forecaster(ucfg)
-    snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"])
     index_entries: list[dict] = []
     probe = train_w.inputs[0]
 
@@ -482,7 +497,7 @@ def cmd_train(args) -> int:
                     out / "snapshots", m.trace(probe), epoch)
                 index_entries.append(entry)
 
-    report = train(model, train_w, val_w, test_w, train_config(cfg),
+    report = train(model, train_w, val_w, test_w, tcfg,
                    epoch_callback=callback)
     # the model now holds the best validated epoch's parameters, which the
     # callback has exported already if that epoch was listed

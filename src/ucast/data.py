@@ -164,17 +164,20 @@ def split_chronological(values: np.ndarray, ratios: tuple[float, float, float],
                         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Cut a channel-major series into train / val / test column views.
 
-    Boundaries are floor(N * cumulative ratio); a zero ratio yields no val
-    segment.  Windows built per segment can therefore never straddle a
-    boundary.  min_rows (lookback + horizon of the intended windows) makes a
-    too-short non-empty segment fail here instead of downstream.
+    Boundaries are floor(N * cumulative ratio); train and test need nonzero
+    ratios, and a zero val ratio yields no val segment.  Windows built per
+    segment can therefore never straddle a boundary.  min_rows (lookback +
+    horizon of the intended windows) makes a too-short non-empty segment
+    fail here instead of downstream.
     """
     if len(ratios) != 3:
         raise ParameterError(f"need (train, val, test) ratios, got {ratios}")
     # stated as what must hold, so that a NaN ratio fails it
-    if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+    if not (ratios[0] > 0 and ratios[1] >= 0 and ratios[2] > 0
+            and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ParameterError(
-            f"ratios must be non-negative and sum to 1, got {ratios}")
+            "ratios must be non-negative with nonzero train and test, and "
+            f"sum to 1, got {ratios}")
     n = values.shape[1]
     n1 = int(math.floor(n * ratios[0]))
     n2 = int(math.floor(n * (ratios[0] + ratios[1])))

@@ -197,33 +197,15 @@ def instance_normalize(x: np.ndarray
 class ForwardTrace:
     config: UCastConfig
     h_nodes: list[Node]                 # H^0 .. H^L
-    # per stage, the maps _attention returned, each [B x] C_l x C_{l-1}
-    # going down and [B x] C_{l-1} x C_l going up
-    down_heads: list[list[np.ndarray]]
-    up_heads: list[list[np.ndarray]]
+    # per stage, the head-averaged map _attention returned, [B x] C_l x
+    # C_{l-1} going down and [B x] C_{l-1} x C_l going up; None when taped
+    attn_down: list[np.ndarray | None]
+    attn_up: list[np.ndarray | None]
     y: Node
 
     @property
     def prediction(self) -> np.ndarray:
         return self.y.value
-
-    @property
-    def attn_down(self) -> list[np.ndarray]:
-        """Per compression stage, the head-averaged map, built on each read."""
-        return [_head_mean(maps, self.config.heads)
-                for maps in self.down_heads]
-
-    @property
-    def attn_up(self) -> list[np.ndarray]:
-        """Per expansion stage, the head-averaged map, built on each read."""
-        return [_head_mean(maps, self.config.heads)
-                for maps in self.up_heads]
-
-
-def _head_mean(maps: list[np.ndarray], heads: int) -> np.ndarray:
-    """The maps added in order and divided by the head count; a single
-    head's map as it is."""
-    return maps[0] if heads == 1 else sum(maps[1:], maps[0]) / heads
 
 
 def _rows(node: Node) -> int:
@@ -244,11 +226,11 @@ def _chain(tape: Tape, a: Node, b: Node, c: Node) -> Node:
 
 def _attention(tape: Tape, query_rows: Node, key_rows: Node,
                w_q: Node, w_k: Node, w_v: Node, w_o: Node, heads: int
-               ) -> tuple[Node, list[np.ndarray]]:
+               ) -> tuple[Node, np.ndarray | None]:
     """Scaled dot-product attention of query_rows over key_rows, which are
-    also the values; returns (output, maps): each head's softmax map,
-    uncopied, or, when the tape records none of them, their running sum,
-    so an untaped pass holds one map per stage, not one per head.
+    also the values; returns (output, map): the heads' mean softmax map,
+    their running sum divided once (at one head the softmax array itself),
+    or None when the tape records the maps, as it holds them for its sweep.
 
     Head h is softmax((X W_q,h)(K W_k,h)^T / sqrt(d_h)) (K W_v,h) W_o,h on
     its columns of W_q, W_k, W_v and rows of W_o; the heads sum.  The
@@ -261,17 +243,13 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
     d = w_q.value.shape[0]
     d_head = d // heads
     w_q = tape.scale(w_q, 1.0 / np.sqrt(d_head))
-    if heads > 1:
-        w_o = tape.transpose(w_o)
-    out = None
-    maps = []
+    out = map_sum = None
     for h in range(heads):
         wq, wk, wv, wo = w_q, w_k, w_v, w_o
         if heads > 1:
             lo, hi = h * d_head, (h + 1) * d_head
-            wq, wk, wv, wo = (tape.slice_cols(w, lo, hi)
-                              for w in (w_q, w_k, w_v, w_o))
-            wo = tape.transpose(wo)
+            wq, wk, wv = (tape.slice(w, lo, hi) for w in (w_q, w_k, w_v))
+            wo = tape.slice(w_o, lo, hi, axis=-2)
         if _rows(query_rows) <= _rows(key_rows):
             folded = _chain(tape, query_rows, wq, tape.transpose(wk))
             scores = tape.matmul(folded, tape.transpose(key_rows))
@@ -284,11 +262,11 @@ def _attention(tape: Tape, query_rows: Node, key_rows: Node,
         else:
             head_out = tape.matmul(attn, _chain(tape, key_rows, wv, wo))
         out = head_out if out is None else tape.add(out, head_out)
-        if maps and not attn.requires_grad:
-            maps[0] = maps[0] + attn.value
-        else:
-            maps.append(attn.value)
-    return out, maps
+        if not attn.requires_grad:
+            map_sum = attn.value if map_sum is None else map_sum + attn.value
+    if map_sum is not None and heads > 1:
+        map_sum = map_sum / heads
+    return out, map_sum
 
 
 def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
@@ -303,9 +281,9 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
 
     h = tape.matmul(tape.constant(x_norm), nodes["w_in"])
     h_nodes = [h]
-    down_heads = []
+    attn_down = []
     for level in range(1, config.layers + 1):
-        out, maps = _attention(
+        out, attn = _attention(
             tape, nodes[f"enc{level}.query"], h,
             nodes[f"enc{level}.w_q"], nodes[f"enc{level}.w_k"],
             nodes[f"enc{level}.w_v"], nodes[f"enc{level}.w_o"], config.heads)
@@ -313,29 +291,29 @@ def forward_from_nodes(nodes: dict[str, Node], config: UCastConfig,
                             nodes[f"enc{level}.ln_bias"])
         require_finite(h.value, f"activations after compression stage {level}")
         h_nodes.append(h)
-        down_heads.append(maps)
+        attn_down.append(attn)
 
     u = tape.matmul(h_nodes[-1], nodes["f_pred"])
-    up_heads = []
+    attn_up = []
     if config.variant == "no_upsampling":
         u = tape.matmul(nodes["restore"], u)
         require_finite(u.value, "activations after channel restore")
     else:
         for level in range(config.layers, 0, -1):
             skip = h_nodes[level - 1]
-            out, maps = _attention(
+            out, attn = _attention(
                 tape, skip, u,
                 nodes[f"dec{level}.w_q"], nodes[f"dec{level}.w_k"],
                 nodes[f"dec{level}.w_v"], nodes[f"dec{level}.w_o"], config.heads)
             u = tape.add(out, skip)
             require_finite(u.value, f"activations after expansion stage {level}")
-            up_heads.append(maps)
+            attn_up.append(attn)
 
     y_norm = tape.matmul(tape.add(u, h_nodes[0]), nodes["w_out"])
     y = tape.row_affine_const(y_norm, scale, mean)
     require_finite(y.value, "activations after prediction")
-    return ForwardTrace(config=config, h_nodes=h_nodes, down_heads=down_heads,
-                        up_heads=up_heads, y=y)
+    return ForwardTrace(config=config, h_nodes=h_nodes, attn_down=attn_down,
+                        attn_up=attn_up, y=y)
 
 
 def total_loss(tape: Tape, trace: ForwardTrace, target: np.ndarray) -> Node:

@@ -126,6 +126,19 @@ class TestSnapshots:
             assert 0 <= snap.effective_rank <= min(h.shape)
             assert 0.0 <= snap.offdiag_mass <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("spread", [0.0, 1.0])
+    def test_rank_from_covariance_eigenvalues(self, d, spread):
+        # stages of 8 and 4 rows: more rows than d=4 and fewer than d=16;
+        # at init the stages are rank-deficient, with O(1) weights full
+        model, _ = self.make_trace(channels=16, d=d)
+        for i, (name, value) in enumerate(model.params.items()):
+            model.params[name] = value + spread * Stream(i, (86,)).normal(
+                value.shape)
+        trace = model.trace(Stream(30, (105,)).normal((16, 8)))
+        for snap, node in zip(snapshot(trace, 0), trace.h_nodes[1:]):
+            assert snap.effective_rank == effective_rank(node.value)
+
     def test_asdict_json_safe(self):
         _, trace = self.make_trace()
         payload = json.dumps([asdict(s) for s in snapshot(trace, 1)])

@@ -64,11 +64,26 @@ class TestPrimitiveAdjoints:
         p = params_for((3, 8))
 
         def build(t, n):
-            left = t.slice_cols(n["p0"], 0, 3)
-            right = t.slice_cols(n["p0"], 5, 8)
+            left = t.slice(n["p0"], 0, 3)
+            right = t.slice(n["p0"], 5, 8)
             return mean_square(t, t.add(right, t.scale(left, 2.0)))
 
         check(build, p)
+
+    def test_slice_rows(self):
+        p = params_for((8, 3))
+
+        def build(t, n):
+            top = t.slice(n["p0"], 0, 3, axis=-2)
+            bottom = t.slice(n["p0"], 5, 8, axis=-2)
+            return mean_square(t, t.add(bottom, t.scale(top, 2.0)))
+
+        check(build, p)
+        tape = Tape()
+        m = tape.constant(p["p0"])
+        for j0, j1, axis in ((5, 9, -2), (2, 2, -2), (0, 3, 0)):
+            with pytest.raises(ShapeError):
+                tape.slice(m, j0, j1, axis=axis)
 
     def test_row_affine_const(self):
         p = params_for((4, 5))
@@ -113,9 +128,19 @@ class TestStackedAdjoints:
         p = params_for((2, 3, 8))
 
         def build(t, n):
-            left = t.slice_cols(n["p0"], 0, 3)
-            right = t.slice_cols(n["p0"], 5, 8)
+            left = t.slice(n["p0"], 0, 3)
+            right = t.slice(n["p0"], 5, 8)
             return mean_square(t, t.add(right, t.scale(left, 2.0)))
+
+        check(build, p)
+
+    def test_slice_rows(self):
+        p = params_for((2, 8, 3))
+
+        def build(t, n):
+            top = t.slice(n["p0"], 0, 3, axis=-2)
+            bottom = t.slice(n["p0"], 5, 8, axis=-2)
+            return mean_square(t, t.add(bottom, t.scale(top, 2.0)))
 
         check(build, p)
 

@@ -113,6 +113,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["1,0,0", "0.7,0.3,0", "0,0.5,0.5"])
+    def test_split_needs_train_and_test(self, split, capsys):
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     f"--split={split}"])
+        assert code == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err,
+                              "nonzero train and test")
+
     def test_batch_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("synthetic allocation failure")
@@ -195,6 +203,31 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("epochs", ["-3,final", "0,3", "1.5"])
+    def test_unreachable_snapshot_epoch(self, epochs, tmp_path, monkeypatch,
+                                        capsys):
+        # TINY_TRAIN runs epochs 0..2; the list is read before any data
+        def unbuilt(*args):
+            raise AssertionError("data built before the epoch list was read")
+        monkeypatch.setattr(cli, "resolve_data", unbuilt)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"snapshot_epochs": epochs}))
+        for extra in ([f"--snapshot-epochs={epochs}"],
+                      ["--config", str(cfg_file)]):
+            out = tmp_path / "run"
+            code = main(["train", "--data", "var:anti_self:8:200",
+                         *TINY_TRAIN, *extra, "--out", str(out)])
+            assert code == EXIT_USAGE, extra
+            assert_one_error_line(capsys.readouterr().err, "snapshot epoch")
+            assert not out.exists()
+
+    def test_max_epochs_checked_before_snapshot_epochs(self, capsys):
+        code = main(["train", "--data", "var:anti_self:8:200", *TINY_TRAIN,
+                     "--max-epochs", "0", "--snapshot-epochs", "1"])
+        assert code == EXIT_USAGE
+        assert_one_error_line(capsys.readouterr().err,
+                              "max_epochs must be positive")
+
     @pytest.mark.parametrize("argv", [
         ["synth"],
         ["risk", "--structure", "anti_self", "--channels", "2"],
@@ -271,6 +304,15 @@ class TestMissingData:
         code = main(["train", "--data", "var:independent:4:10", *TINY_TRAIN])
         assert code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("data", [["var:anti_self:8:5"],
+                                      ["var:anti_self:8", "--steps", "10"]])
+    def test_steps_minimum_named(self, data, capsys):
+        code = main(["train", "--data", *data, *TINY_TRAIN])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert_one_error_line(err, f"--data {data[0]}:")
+        assert "at least 11" in err and "burn_in" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,

@@ -294,18 +294,17 @@ def reference_attention(tape, query_rows, key_rows, w_q, w_k, w_v, w_o,
     row through W_q and W_k, every value row through W_v, per-head column
     slices of those activations, and the concatenated heads through W_o.
     The concatenation is a sum of products with 0/1 placement matrices,
-    which moves every value unchanged.  Returns the output and each head's
-    map, as the model's _attention does."""
+    which moves every value unchanged.  Returns the output and the map, as
+    the model's _attention does: the heads' mean, or None when taped."""
     d = w_q.value.shape[0]
     d_head = d // heads
     q = tape.matmul(query_rows, w_q)
     k = tape.matmul(key_rows, w_k)
     v = tape.matmul(key_rows, w_v)
-    merged = None
-    maps = []
+    merged = map_sum = None
     for h in range(heads):
         lo, hi = h * d_head, (h + 1) * d_head
-        q_h, k_h, v_h = (tape.slice_cols(m, lo, hi) if heads > 1 else m
+        q_h, k_h, v_h = (tape.slice(m, lo, hi) if heads > 1 else m
                          for m in (q, k, v))
         scores = tape.scale(tape.matmul(q_h, tape.transpose(k_h)),
                             1.0 / np.sqrt(d_head))
@@ -316,8 +315,10 @@ def reference_attention(tape, query_rows, key_rows, w_q, w_k, w_v, w_o,
             place[:, lo:hi] = np.eye(d_head)
             head_out = tape.matmul(head_out, tape.constant(place))
         merged = head_out if merged is None else tape.add(merged, head_out)
-        maps.append(attn.value)
-    return tape.matmul(merged, w_o), maps
+        if not attn.requires_grad:
+            map_sum = attn.value if map_sum is None else map_sum + attn.value
+    return (tape.matmul(merged, w_o),
+            None if map_sum is None else map_sum / heads)
 
 
 def o1_model(variant, heads):
@@ -356,7 +357,7 @@ class TestReassociation:
                     for k in grads)
         assert worst <= 1e-10 * scale
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_trace_maps_match_reference(self, heads, monkeypatch):
         model = o1_model("full", heads)
         x = window(model.config)
@@ -370,55 +371,25 @@ class TestReassociation:
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_head_maps_averaged_only_when_read(self, monkeypatch):
-        model = o1_model("full", 2)
-        cfg = model.config
-        x = Stream(5, (54,)).normal((3, cfg.channels, cfg.lookback))
-        trace = model.trace(x)
-        monkeypatch.setattr(model_module, "_attention", reference_attention)
-        ref = model.trace(x)
-        for got, heads in zip(trace.attn_down + trace.attn_up,
-                              ref.down_heads + ref.up_heads):
-            assert len(heads) == 2
-            assert np.allclose(got, np.mean(heads, axis=0), rtol=1e-12,
-                               atol=1e-15)
-        monkeypatch.undo()
-
-        # a training step never builds the averaged maps
-        def unread(trace):
-            raise AssertionError("head-averaged map built")
-        monkeypatch.setattr(model_module.ForwardTrace, "attn_down",
-                            property(unread))
-        monkeypatch.setattr(model_module.ForwardTrace, "attn_up",
-                            property(unread))
-        loss, _ = batch_gradients(model, x, np.zeros((3, cfg.channels,
-                                                      cfg.horizon)))
-        assert np.isfinite(loss)
-
-    def test_one_head_map_is_the_softmax_itself(self):
-        model = o1_model("full", 1)
-        trace = model.trace(window(model.config))
-        for got, heads in zip(trace.attn_down + trace.attn_up,
-                              trace.down_heads + trace.up_heads):
-            assert got is heads[0]
-
-    def test_untaped_trace_keeps_one_map_per_stage(self):
-        # off the tape each head's map is added to a running sum and dies;
-        # on it every head's map lives on the tape anyway, and is kept
-        model = o1_model("full", 4)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_maps_only_from_untaped_passes(self, heads, monkeypatch):
+        # a taped pass returns no map, as its tape holds every head's
+        # softmax array for the sweep; an untaped one the heads' mean
+        model = o1_model("full", heads)
         x = window(model.config)
-        untaped = model.trace(x)
-        tape = Tape()
-        nodes = {name: tape.leaf(value, requires_grad=True)
-                 for name, value in model.params.items()}
-        taped = forward_from_nodes(nodes, model.config, x, tape)
-        assert [len(maps) for maps in untaped.down_heads + untaped.up_heads] \
-            == [1] * 4
-        assert [len(maps) for maps in taped.down_heads + taped.up_heads] \
-            == [4] * 4
-        for got, want in zip(untaped.attn_down + untaped.attn_up,
-                             taped.attn_down + taped.attn_up):
-            assert np.array_equal(got, want)
+        for attention in (model_module._attention, reference_attention):
+            monkeypatch.setattr(model_module, "_attention", attention)
+            tape = Tape()
+            nodes = {name: tape.leaf(value, requires_grad=True)
+                     for name, value in model.params.items()}
+            taped = forward_from_nodes(nodes, model.config, x, tape)
+            assert taped.attn_down + taped.attn_up == [None] * 4
+            untaped = model.trace(x)
+            maps = untaped.attn_down + untaped.attn_up
+            assert len(maps) == 4
+            for attn in maps:
+                assert isinstance(attn, np.ndarray)
+                assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def weight_products_over_wide_rows(attention, heads, monkeypatch):
