@@ -112,8 +112,9 @@ def _resolve(args, defaults: dict) -> dict:
     if getattr(args, "config", None):
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except ValueError as exc:
-            # bad JSON, bad encoding, or an integer too long to convert
+        except (RecursionError, ValueError) as exc:
+            # bad JSON, bad encoding, an integer too long to convert, or
+            # nesting deeper than the decoder's recursion limit
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError(
@@ -381,9 +382,10 @@ def _risk_spec(args) -> VarProcessSpec:
         path = Path(args.spec_file)
         try:
             return VarProcessSpec.from_dict(json.loads(path.read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             # ValueError covers bad JSON or encoding, non-numbers, and the
-            # spec's own ShapeError and ParameterError
+            # spec's own ShapeError and ParameterError; RecursionError,
+            # nesting deeper than the decoder's recursion limit
             raise FormatError(f"{path}: malformed VAR spec: {exc!r}") from exc
     if args.structure is None or args.channels is None:
         raise ParameterError(
@@ -403,7 +405,8 @@ def cmd_risk(args) -> int:
         spec = _risk_spec(args)
         report = bayes_risk_sequence(spec, target=args.target)
         pair = bayes_risk_ci_cd(spec, target=args.target) if spec.C == 2 else None
-        mc = (monte_carlo_risks(spec, n_samples=args.mc, target=args.target)
+        mc = (monte_carlo_risks(spec, n_samples=args.mc, seed=args.seed,
+                                target=args.target)
               if args.mc > 0 else None)
     except MemoryError as exc:
         # the oracles hold a few C x C matrices and one block of samples,
@@ -443,7 +446,7 @@ def cmd_risk(args) -> int:
                 json.dumps(spec.to_dict(), sort_keys=True).encode())),
         }
         if mc_rows is not None:
-            payload["monte_carlo"] = mc_rows
+            payload["mc"], payload["monte_carlo"] = args.mc, mc_rows
         write_json(out / "config.json", payload)
         write_json(out / "spec.json", spec.to_dict())
     return EXIT_OK
@@ -546,9 +549,7 @@ def cmd_eval(args) -> int:
     print(f"test_mae: {mae}")
     if out is not None:
         write_json(out / "config.json", {
-            "command": "eval", "seed": args.seed,
-            "checkpoint": str(ckpt), "data": args.data, **provenance,
-        })
+            "command": "eval", **cfg, "checkpoint": str(ckpt), **provenance})
         write_json(out / "report.json", {"test_mse": mse, "test_mae": mae})
     return EXIT_OK
 

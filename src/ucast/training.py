@@ -165,7 +165,7 @@ class TrainReport:
     test_mae: float | None = None
     diverged: bool = False
     divergence_note: str = ""
-    batch_seconds: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)
 
     def summary(self) -> dict:
         """Deterministic run summary; wall-clock timing deliberately lives in
@@ -180,10 +180,9 @@ class TrainReport:
         }
 
     def timing(self) -> dict:
-        per_epoch = self.batch_seconds
         return {
-            "epoch_seconds": per_epoch,
-            "total_seconds": float(sum(per_epoch)),
+            "epoch_seconds": self.epoch_seconds,
+            "total_seconds": float(sum(self.epoch_seconds)),
         }
 
 
@@ -233,6 +232,13 @@ def batch_gradients(model: TrainableModel, inputs: np.ndarray,
 EpochCallback = Callable[[int, TrainableModel], None]
 
 
+def _restore(params: dict[str, np.ndarray],
+             best: dict[str, np.ndarray] | None) -> None:
+    """Copy the best validated epoch's parameters back, if one was kept."""
+    for k, v in (best or {}).items():
+        params[k][...] = v
+
+
 def train(model: TrainableModel, train_windows: WindowBatch,
           val_windows: WindowBatch | None, test_windows: WindowBatch | None,
           config: TrainConfig,
@@ -242,97 +248,77 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     epoch's parameters are restored before any test evaluation.
 
     Without a validation set the loop runs all epochs and keeps the final
-    parameters.  A numeric failure in a step (a non-finite loss or gradient
-    norm among them) raises on the first step; after it, and in validation
-    or test evaluation, it aborts with a diverged report instead, which
-    also names and restores the best validated epoch (0 and the diverged
-    parameters when no epoch was validated).  A batch
-    whose graph does not fit in memory is a ParameterError: every full batch
-    has the same shapes, so it fails at the first step.
+    parameters.  A NumericError before the first update propagates; any
+    later one ends the run with a diverged report, which names and restores
+    the best validated epoch (0 and the last parameters when none was).  A
+    batch whose graph does not fit in memory is a ParameterError: every
+    full batch has the same shapes, so it fails at the first step.
     """
     if train_windows.count == 0:
         raise ParameterError("train: empty training set")
-    names = model.trainable()
-    state = OptimizerState.for_params(model.params, names)
+    state = OptimizerState.for_params(model.params, model.trainable())
     shuffle_stream = Stream(config.seed, (401,))
     report = TrainReport()
-    # the best validation epoch so far, and a copy of its parameters
-    best_mse, best_epoch, best_params = math.inf, 0, None
-
-    def restore_best() -> bool:
-        if best_params is None:
-            return False
-        report.best_epoch = best_epoch
-        for k, v in best_params.items():
-            model.params[k][...] = v
-        return True
-
-    def diverge(epoch: int, note: str) -> TrainReport:
-        restore_best()
-        report.diverged, report.divergence_note = True, note
-        report.stopped_epoch = epoch
-        return report
-
-    if epoch_callback is not None:
-        epoch_callback(0, model)
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_stream.permutation(train_windows.count)
-        epoch_loss = 0.0
-        epoch_norm = 0.0
-        batches = 0
-        tick = time.monotonic()
-        for lo in range(0, train_windows.count, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            try:
-                loss, grads = batch_gradients(
-                    model, train_windows.inputs[idx], train_windows.targets[idx])
-                norm = adam_step(model.params, grads, state, config.lr,
-                                 config.clip_norm)
-            except MemoryError as exc:
-                raise ParameterError(
-                    f"a batch of {len(idx)} windows does not fit in memory; "
-                    "lower --batch-size") from exc
-            except NumericError as exc:
-                # A numeric failure on the very first step is a config
-                # problem and propagates; after a successful step it means
-                # the iterates blew up, which is a divergence outcome.
-                if epoch == 1 and batches == 0:
-                    raise
-                return diverge(epoch, f"numeric failure at epoch {epoch}: {exc}")
-            epoch_loss += loss
-            epoch_norm = max(epoch_norm, norm)
-            batches += 1
-        report.batch_seconds.append(time.monotonic() - tick)
-
-        val_mse = None
-        if val_windows is not None:
-            try:
-                val_mse, _ = evaluate(model, val_windows)
-            except NumericError as exc:
-                return diverge(
-                    epoch, f"numeric failure in validation at epoch {epoch}: {exc}")
-        report.epochs.append(EpochRecord(
-            epoch=epoch, train_loss=epoch_loss / batches, val_mse=val_mse,
-            grad_norm=epoch_norm))
-        report.stopped_epoch = epoch
+    # the best validation MSE so far and its parameters (report.best_epoch)
+    best_mse, best_params = math.inf, None
+    epoch, where = 0, "after epoch 0"
+    try:
         if epoch_callback is not None:
-            epoch_callback(epoch, model)
+            epoch_callback(0, model)
+        for epoch in range(1, config.max_epochs + 1):
+            where = f"at epoch {epoch}"
+            order = shuffle_stream.permutation(train_windows.count)
+            epoch_loss, epoch_norm, batches = 0.0, 0.0, 0
+            tick = time.monotonic()
+            for lo in range(0, train_windows.count, config.batch_size):
+                idx = order[lo:lo + config.batch_size]
+                try:
+                    loss, grads = batch_gradients(
+                        model, train_windows.inputs[idx],
+                        train_windows.targets[idx])
+                    norm = adam_step(model.params, grads, state, config.lr,
+                                     config.clip_norm)
+                except MemoryError as exc:
+                    raise ParameterError(
+                        f"a batch of {len(idx)} windows does not fit in "
+                        "memory; lower --batch-size") from exc
+                epoch_loss += loss
+                epoch_norm = max(epoch_norm, norm)
+                batches += 1
+            report.epoch_seconds.append(time.monotonic() - tick)
 
-        if val_mse is not None:
-            if val_mse < best_mse:
-                best_mse, best_epoch = val_mse, epoch
-                best_params = {k: v.copy() for k, v in model.params.items()}
-            elif epoch - best_epoch >= config.patience:
-                break
+            where = f"in validation at epoch {epoch}"
+            val_mse = None
+            if val_windows is not None:
+                val_mse, _ = evaluate(model, val_windows)
+            report.epochs.append(EpochRecord(
+                epoch=epoch, train_loss=epoch_loss / batches, val_mse=val_mse,
+                grad_norm=epoch_norm))
+            report.stopped_epoch = epoch
+            where = f"after epoch {epoch}"
+            if epoch_callback is not None:
+                epoch_callback(epoch, model)
 
-    if not restore_best():
-        report.best_epoch = report.stopped_epoch
+            if val_mse is not None:
+                if val_mse < best_mse:
+                    best_mse, report.best_epoch = val_mse, epoch
+                    best_params = {k: v.copy() for k, v in model.params.items()}
+                elif epoch - report.best_epoch >= config.patience:
+                    break
 
-    if test_windows is not None:
-        try:
+        where = "in test evaluation"
+        if best_params is None:
+            report.best_epoch = report.stopped_epoch
+        _restore(model.params, best_params)
+        if test_windows is not None:
             report.test_mse, report.test_mae = evaluate(model, test_windows)
-        except NumericError as exc:
-            return diverge(report.stopped_epoch,
-                           f"numeric failure in test evaluation: {exc}")
+    except NumericError as exc:
+        # before the first update (adam_step counts one once its norm is
+        # finite) it is a config problem; after it the iterates blew up
+        if state.step == 0:
+            raise
+        _restore(model.params, best_params)
+        report.diverged = True
+        report.divergence_note = f"numeric failure {where}: {exc}"
+        report.stopped_epoch = epoch
     return report

@@ -15,13 +15,13 @@ predictor collapses to the noise floor sigma_tt.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ConvergenceError, DefinitenessError, ParameterError,
-                     ShapeError, integral)
+                     ShapeError, finite, integral)
 from .linalg import as_matrix
 from .rng import Stream
 
@@ -63,9 +63,9 @@ class VarProcessSpec:
         a = as_matrix(np.array(self.A, dtype=np.float64, order="C"), "A")
         if a.shape != (self.C, self.C):
             raise ShapeError(f"A shape {a.shape} vs C={self.C}")
-        noise = np.array(self.noise_diag, dtype=np.float64).reshape(-1)
-        if noise.shape[0] != self.C:
-            raise ShapeError(f"noise_diag length {noise.shape[0]} vs C={self.C}")
+        noise = np.array(self.noise_diag, dtype=np.float64)
+        if noise.shape != (self.C,):
+            raise ShapeError(f"noise_diag shape {noise.shape} vs C={self.C}")
         if not np.all(np.isfinite(a)):
             raise ParameterError("A has non-finite entries")
         if not np.all((noise > 0) & np.isfinite(noise)):
@@ -109,10 +109,25 @@ class VarProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VarProcessSpec":
+        """The spec of a to_dict() object; a key to_dict() does not write,
+        or an entry of A or noise_diag that is not a finite number (a
+        string or a boolean, which numpy would convert), is refused."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"a VAR spec is a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ParameterError(f"unknown VAR spec keys: {sorted(unknown)}")
         return cls(structure=d["structure"], C=integral("C", d["C"]),
-                   A=np.asarray(d["A"], dtype=np.float64),
-                   noise_diag=np.asarray(d["noise_diag"], dtype=np.float64),
+                   A=_numbers("A", d["A"]),
+                   noise_diag=_numbers("noise_diag", d["noise_diag"]),
                    seed=integral("seed", d.get("seed", 0)))
+
+
+def _numbers(name: str, value):
+    """Nested lists of JSON numbers, each read by `finite`."""
+    if isinstance(value, list):
+        return [_numbers(name, v) for v in value]
+    return finite(f"{name} entry", value)
 
 
 def spectral_radius(a: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from ucast.model import (Forecaster, UCastConfig, param_shapes,
 from ucast.rng import Stream
 from ucast.training import TrainConfig
 from ucast.varlab import (VarProcessSpec, bayes_risk_sequence,
-                          make_var_spec)
+                          make_var_spec, monte_carlo_risks)
 
 TINY_TRAIN = ["--d", "8", "--ratio", "2", "--horizon", "2",
               "--max-epochs", "2", "--batch-size", "16", "--patience", "5"]
@@ -582,10 +582,12 @@ class TestConfigPrecedence:
 
     def test_config_file_must_be_json(self, tmp_path, capsys):
         # not JSON, not UTF-8, an integer too long for Python to convert,
-        # not an object, then values of the wrong type
+        # nesting beyond the decoder's recursion limit, not an object, then
+        # values of the wrong type
         cfg_file = tmp_path / "cfg.json"
         for data in (b"lr: 0.005", b"\xff\xfe{}",
-                     b'{"d": ' + b"9" * 5000 + b"}", b"null",
+                     b'{"d": ' + b"9" * 5000 + b"}",
+                     b"[" * 100_000 + b"]" * 100_000, b"null",
                      b'{"clip_norm": null}', b'{"lr": "fast"}',
                      b'{"heads": "two"}'):
             cfg_file.write_bytes(data)
@@ -690,6 +692,27 @@ class TestTrainArtifacts:
         evaluated = json.loads(
             (tmp_path / "eval_run" / "report.json").read_text())
         assert evaluated["test_mse"] == report["test_mse"]
+        capsys.readouterr()
+
+    def test_eval_records_its_settings(self, train_run, tmp_path, capsys):
+        # two splits give two test sets, and each config.json names its own
+        _, out, _ = train_run
+        stored = {}
+        for split in ("0.7,0.1,0.2", "0.5,0.2,0.3"):
+            run = tmp_path / split
+            assert main(["eval", "--checkpoint", str(out / "checkpoint"),
+                         "--data", "var:independent:4:120", "--split", split,
+                         "--out", str(run)]) == EXIT_OK
+            stored[split] = (json.loads((run / "config.json").read_text()),
+                             json.loads((run / "report.json").read_text()))
+        config, report = stored["0.5,0.2,0.3"]
+        assert config["split"] == "0.5,0.2,0.3"
+        assert stored["0.7,0.1,0.2"][0]["split"] == "0.7,0.1,0.2"
+        assert report["test_mse"] != stored["0.7,0.1,0.2"][1]["test_mse"]
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        assert (config["lookback"], config["horizon"]) == (
+            manifest["config"]["lookback"], manifest["config"]["horizon"])
+        assert (config["steps"], config["seed"]) == (120, 0)
         capsys.readouterr()
 
     def test_eval_checkpoint_missing_a_parameter(self, train_run, tmp_path,
@@ -869,6 +892,68 @@ class TestDivergence:
         assert code == EXIT_DIVERGED
         assert "positive definite" in capsys.readouterr().err
 
+    def test_snapshot_failure_after_first_update_writes_report(
+            self, tmp_path, monkeypatch, capsys):
+        # a NumericError from the epoch callback, here the epoch-1 export,
+        # ends the run as a divergence with its records written
+        export = analysis.export_snapshots
+
+        def failing(directory, trace, epoch):
+            if epoch == 1:
+                raise NumericError("non-finite spectrum")
+            return export(directory, trace, epoch)
+
+        monkeypatch.setattr(analysis, "export_snapshots", failing)
+        out = tmp_path / "run"
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     "--snapshot-epochs", "0,1", "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        report = json.loads((out / "report.json").read_text())
+        assert report["diverged"] and report["epochs_run"] == 1
+        assert report["divergence_note"] == (
+            "numeric failure after epoch 1: non-finite spectrum")
+        assert not (out / "checkpoint").exists()
+        assert "training diverged" in capsys.readouterr().out
+
+
+@st.composite
+def spec_objects(draw):
+    """A stable VAR spec object of 1 to 3 channels, then up to three edits:
+    a key dropped or added, a value replaced by any JSON scalar or nested
+    list, or one entry of A or noise_diag replaced by a JSON scalar."""
+    c = draw(st.integers(1, 3))
+    spec = {
+        "structure": draw(st.sampled_from(["independent", "anti_self",
+                                           "custom"])),
+        "C": c,
+        # every row sums to at most 0.9 in absolute value: radius < 1
+        "A": draw(st.lists(st.lists(st.floats(-0.3, 0.3), min_size=c,
+                                    max_size=c), min_size=c, max_size=c)),
+        "noise_diag": draw(st.lists(st.floats(0.1, 2.0), min_size=c,
+                                    max_size=c)),
+        "seed": draw(st.integers(0, 3)),
+    }
+    values = st.one_of(
+        JSON_SCALARS, st.integers(0, 4),
+        st.lists(st.one_of(JSON_SCALARS, st.floats(-0.6, 0.6)), max_size=4),
+        st.lists(st.lists(st.floats(-0.6, 0.6), max_size=4), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["structure", "C", "A", "noise_diag",
+                                    "seed", "sed"]))
+        edit = draw(st.sampled_from(["drop", "value", "entry"]))
+        if edit == "drop":
+            spec.pop(key, None)
+        elif edit == "value" or not isinstance(spec.get(key), list) \
+                or not spec[key]:
+            spec[key] = draw(values)
+        else:
+            row = spec[key]
+            i = draw(st.integers(0, len(row) - 1))
+            if isinstance(row[i], list) and row[i]:
+                row, i = row[i], draw(st.integers(0, len(row[i]) - 1))
+            row[i] = draw(JSON_SCALARS)
+    return spec
+
 
 class TestRisk:
     def test_matches_library_closed_form(self, tmp_path, capsys):
@@ -882,6 +967,7 @@ class TestRisk:
         got = [float(r.split(",")[1]) for r in rows]
         assert np.allclose(got, list(want.risks), rtol=0, atol=0)
         assert "two-channel closed form" in capsys.readouterr().out
+        assert "mc" not in json.loads((out / "config.json").read_text())
 
     def test_monte_carlo_column(self, tmp_path, capsys):
         out = tmp_path / "risk_mc"
@@ -890,7 +976,32 @@ class TestRisk:
         assert code == EXIT_OK
         stored = json.loads((out / "config.json").read_text())
         assert all(np.isfinite(r["sampled"]) for r in stored["monte_carlo"])
+        assert stored["mc"] == 2000
         assert "sampled" in capsys.readouterr().out
+
+    def test_monte_carlo_draws_from_seed(self, tmp_path, capsys):
+        spec = make_var_spec("anti_self", 3, seed=2)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        sampled = {}
+        for seed in (None, 3, 4):
+            argv = ["risk", "--spec-file", str(spec_path), "--mc", "100",
+                    "--out", str(tmp_path / f"risk_{seed}")]
+            assert main(argv + ([] if seed is None
+                                else ["--seed", str(seed)])) == EXIT_OK
+            stored = json.loads(
+                (tmp_path / f"risk_{seed}" / "config.json").read_text())
+            sampled[seed] = [r["sampled"] for r in stored["monte_carlo"]]
+            want = monte_carlo_risks(spec, n_samples=100, seed=seed or 0)
+            assert sampled[seed] == [want[p] for p in (1, 2, 3)]
+        assert sampled[3] != sampled[4]
+        capsys.readouterr()
+        code = main(["risk", "--spec-file", str(spec_path), "--mc", "100",
+                     "--seed", "-1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "seed must be >= 0")
 
     @pytest.mark.parametrize("name", ["make_var_spec", "bayes_risk_sequence",
                                       "monte_carlo_risks"])
@@ -940,14 +1051,53 @@ class TestRisk:
         b' "noise_diag": [1, 1]}',                               # unknown structure
         b'{"structure": "custom", "C": 2.7, "A": [[0.5, 0], [0, 0.5]],'
         b' "noise_diag": [1, 1]}',                               # C not integral
+        b'{"structure": "custom", "C": 2, "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1], "sed": 7}',                     # unknown key
+        b'{"structure": "custom", "C": 2, "A": [["0.5", 0], [0, 0.5]],'
+        b' "noise_diag": [1, 1]}',                               # string in A
+        b'{"structure": "custom", "C": 2, "A": [[0.5, 0], [0, true]],'
+        b' "noise_diag": [1, 1]}',                               # boolean in A
+        b'{"structure": "custom", "C": 2, "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": ["1", 1]}',                             # string noise
+        b'{"structure": "custom", "C": 2, "A": [[0.5, 0], [0, 0.5]],'
+        b' "noise_diag": [1, true]}',                            # boolean noise
+        pytest.param(b'{"structure": "custom", "C": 1, "A": [[1' + b'0' * 400
+                     + b']], "noise_diag": [1]}', id="int-beyond-float"),
+        pytest.param(b'{"structure": "custom", "C": 1, "noise_diag": [1],'
+                     b' "A": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                     id="nested-beyond-recursion-limit"),
+        b'"custom"',                                             # a string
     ])
     def test_malformed_spec_file_is_usage_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(text)
         assert main(["risk", "--spec-file", str(spec_path)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert "error:" in captured.err
+        assert_one_error_line(captured.err, "malformed VAR spec")
         assert captured.out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=spec_objects(), mc=st.sampled_from([0, 50]))
+    def test_any_spec_file_is_read_or_refused(self, tmp_path_factory, spec,
+                                              mc):
+        # keys, types and shapes in any mix: the run ends in an exit code,
+        # never in an exception
+        spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["risk", "--spec-file", str(spec_path),
+                         "--mc", str(mc)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISSING_DATA,
+                        EXIT_DIVERGED), err.getvalue()
+        if code != EXIT_OK:
+            assert out.getvalue() == ""
+            assert_one_error_line(err.getvalue(), "")
+            return
+        # nothing was accepted that the spec's keys and types refuse
+        assert set(spec) <= {"structure", "C", "A", "noise_diag", "seed"}
+        assert all(type(x) in (int, float) for x in spec["noise_diag"])
+        assert all(type(x) in (int, float) for row in spec["A"] for x in row)
 
     @staticmethod
     def assert_quiet_usage_error(spec, tmp_path, capsys):

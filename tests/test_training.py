@@ -481,6 +481,60 @@ class TestTrainLoop:
         assert "test evaluation" in report.divergence_note
         assert report.test_mse is None
 
+    def test_callback_failure_before_first_update_raises(self):
+        def fail(epoch, m):
+            raise NumericError(f"synthetic callback failure at {epoch}")
+
+        model = QuadraticModel(np.ones((2, 2)))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=3, patience=5)
+        with pytest.raises(NumericError, match="callback failure at 0"):
+            train(model, toy_batch(), None, None, cfg, epoch_callback=fail)
+        assert np.array_equal(model.params["w"], np.zeros((2, 2)))
+
+    def test_callback_failure_after_first_update_diverges(self):
+        # validation reads 2.0, 1.0, 3.0: epoch 2 is the best when the
+        # callback fails after epoch 3, whose record is already kept
+        model = ScriptedValModel(np.ones(3), [2.0, 1.0, 3.0, 0.5])
+        val = WindowBatch(inputs=np.zeros((4, 2, 4)),
+                          targets=np.zeros((4, 2, 2)), starts=np.arange(4))
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=4, patience=5,
+                          clip_norm=None)
+        seen = {}
+
+        def fail_at_three(epoch, m):
+            seen[epoch] = m.params["w"].copy()
+            if epoch == 3:
+                raise NumericError("synthetic export failure")
+
+        report = train(model, toy_batch(count=8), val, toy_batch(count=8),
+                       cfg, epoch_callback=fail_at_three)
+        assert report.diverged and report.stopped_epoch == 3
+        assert report.divergence_note == (
+            "numeric failure after epoch 3: synthetic export failure")
+        assert [r.epoch for r in report.epochs] == [1, 2, 3]
+        assert report.best_epoch == 2 and report.test_mse is None
+        assert np.array_equal(model.params["w"], seen[2])
+        assert not np.array_equal(seen[3], seen[2])
+
+    def test_divergence_notes_name_where(self, monkeypatch):
+        # the three notes a step, validation and test evaluation write
+        self.poison_gradient(monkeypatch, at_call=5)
+        cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=2, patience=5)
+        step = train(QuadraticModel(np.ones((2, 2))), toy_batch(), None,
+                     None, cfg)
+        val = train(UnstableEvalModel(np.ones((2, 2))), toy_batch(count=8),
+                    toy_batch(count=6, seed=1), None, cfg)
+        test = train(UnstableEvalModel(np.ones((2, 2))), toy_batch(count=8),
+                     None, toy_batch(count=6, seed=1), cfg)
+        assert step.divergence_note.startswith(
+            "numeric failure at epoch 2: adam_step: non-finite gradient")
+        assert val.divergence_note == ("numeric failure in validation at "
+                                       "epoch 1: non-finite activations "
+                                       "after prediction")
+        assert test.divergence_note == ("numeric failure in test evaluation: "
+                                        "non-finite activations after "
+                                        "prediction")
+
     def test_test_metrics_populated(self):
         w_star = Stream(6, (85,)).normal((2, 2))
         model = QuadraticModel(w_star)

@@ -147,6 +147,13 @@ class TestSpecValidation:
             VarProcessSpec(structure="custom", C=2, A=np.zeros((2, 2)),
                            noise_diag=np.ones(3))
 
+    @pytest.mark.parametrize("noise", [np.ones((1, 1)), 1.0])
+    def test_noise_is_one_entry_per_channel(self, noise):
+        # a column or a scalar holds C = 1 values, but is not a diagonal
+        with pytest.raises(ShapeError, match="noise_diag shape"):
+            VarProcessSpec(structure="custom", C=1, A=np.zeros((1, 1)),
+                           noise_diag=noise)
+
     def test_noise_positivity(self):
         with pytest.raises(ParameterError):
             VarProcessSpec(structure="custom", C=2, A=np.zeros((2, 2)),
