@@ -105,6 +105,26 @@ class SpectrumSnapshot:
     offdiag_mass: float
 
 
+def _stages(trace: ForwardTrace, epoch: int):
+    """Each encoder stage's SpectrumSnapshot with its covariance H H^T / d."""
+    eps = trace.config.eps_cov
+    for layer, node in enumerate(trace.h_nodes[1:], start=1):
+        h = node.value
+        n, d = h.shape
+        sigma = (h @ h.T) / float(d)
+        logdet = cholesky_logdet(sigma + eps * np.eye(n))
+        eigs = np.linalg.eigvalsh(sigma)[::-1]
+        yield SpectrumSnapshot(
+            epoch=epoch,
+            layer=layer,
+            eigenvalues=eigs.tolist(),
+            effective_rank=_gram_rank(eigs),
+            entropy=0.5 * (n * LOG_2PIE + logdet),
+            logdet=logdet,
+            offdiag_mass=offdiagonal_mass(sigma),
+        ), sigma
+
+
 def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
     """One SpectrumSnapshot per encoder stage of a forward trace.
 
@@ -115,24 +135,7 @@ def snapshot(trace: ForwardTrace, epoch: int) -> list[SpectrumSnapshot]:
     covariance's eigenvalues give the effective rank as well, since H H^T
     is a Gram matrix of H.
     """
-    eps = trace.config.eps_cov
-    out = []
-    for layer, node in enumerate(trace.h_nodes[1:], start=1):
-        h = node.value
-        n, d = h.shape
-        sigma = (h @ h.T) / float(d)
-        logdet = cholesky_logdet(sigma + eps * np.eye(n))
-        eigs = np.linalg.eigvalsh(sigma)[::-1]
-        out.append(SpectrumSnapshot(
-            epoch=epoch,
-            layer=layer,
-            eigenvalues=eigs.tolist(),
-            effective_rank=_gram_rank(eigs),
-            entropy=0.5 * (n * LOG_2PIE + logdet),
-            logdet=logdet,
-            offdiag_mass=offdiagonal_mass(sigma),
-        ))
-    return out
+    return [snap for snap, _ in _stages(trace, epoch)]
 
 
 def export_snapshots(out_dir, trace: ForwardTrace, epoch: int) -> dict:
@@ -144,26 +147,19 @@ def export_snapshots(out_dir, trace: ForwardTrace, epoch: int) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snaps = snapshot(trace, epoch)
+    stages = list(_stages(trace, epoch))
     files = []
-    for snap, node in zip(snaps, trace.h_nodes[1:]):
-        h = node.value
-        sigma = (h @ h.T) / float(h.shape[1])
-        name = f"cov_epoch{epoch}_layer{snap.layer}.csv"
-        save_matrix_csv(out_dir / name, sigma)
-        files.append(name)
-    for i, attn in enumerate(trace.attn_down, start=1):
-        name = f"attn_down_epoch{epoch}_layer{i}.csv"
-        save_matrix_csv(out_dir / name, attn)
-        files.append(name)
-    for i, attn in enumerate(trace.attn_up, start=1):
-        name = f"attn_up_epoch{epoch}_layer{i}.csv"
-        save_matrix_csv(out_dir / name, attn)
-        files.append(name)
+    for snap, sigma in stages:
+        files.append(f"cov_epoch{epoch}_layer{snap.layer}.csv")
+        save_matrix_csv(out_dir / files[-1], sigma)
+    for kind, maps in (("down", trace.attn_down), ("up", trace.attn_up)):
+        for layer, attn in enumerate(maps, start=1):
+            files.append(f"attn_{kind}_epoch{epoch}_layer{layer}.csv")
+            save_matrix_csv(out_dir / files[-1], attn)
     return {
         "epoch": epoch,
         "files": files,
-        "snapshots": [asdict(s) for s in snaps],
+        "snapshots": [asdict(snap) for snap, _ in stages],
     }
 
 

@@ -250,31 +250,20 @@ def assert_paper_orderings(result: ExperimentResult) -> list[str]:
     map is hopelessly under-determined at desk-scale pooling, so its
     ordering says nothing about the modeling question.
     """
+    # the first cell of each (structure, C) wins, as in ExperimentResult.cell
+    cells = {(c.structure, c.channels): c for c in reversed(result.cells)}
     violations = []
-
-    def has(structure, channels):
-        try:
-            result.cell(structure, channels)
-            return True
-        except KeyError:
-            return False
-
-    if has("independent", 100):
-        cell = result.cell("independent", 100)
-        if not cell.test_mse["ci"] < cell.test_mse["cd"]:
+    for structure, channels, low, high in (("independent", 100, "ci", "cd"),
+                                           ("anti_self", 100, "cd", "ci"),
+                                           ("anti_self", 250, "cd", "ci")):
+        cell = cells.get((structure, channels))
+        if cell is not None and not cell.test_mse[low] < cell.test_mse[high]:
             violations.append(
-                f"independent C=100: ci {cell.test_mse['ci']:.6f} not below "
-                f"cd {cell.test_mse['cd']:.6f}")
-    for channels in (100, 250):
-        if has("anti_self", channels):
-            cell = result.cell("anti_self", channels)
-            if not cell.test_mse["cd"] < cell.test_mse["ci"]:
-                violations.append(
-                    f"anti_self C={channels}: cd {cell.test_mse['cd']:.6f} not "
-                    f"below ci {cell.test_mse['ci']:.6f}")
-    if has("anti_self", 100) and has("anti_self", 250):
-        r100 = result.cell("anti_self", 100).ratio_cd_over_ci
-        r250 = result.cell("anti_self", 250).ratio_cd_over_ci
+                f"{structure} C={channels}: {low} {cell.test_mse[low]:.6f} "
+                f"not below {high} {cell.test_mse[high]:.6f}")
+    if ("anti_self", 100) in cells and ("anti_self", 250) in cells:
+        r100 = cells["anti_self", 100].ratio_cd_over_ci
+        r250 = cells["anti_self", 250].ratio_cd_over_ci
         if not r250 <= r100:
             violations.append(
                 f"cd/ci ratio grew with C: {r250:.4f} at 250 vs {r100:.4f} at 100")

@@ -34,7 +34,7 @@ from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, evaluate, train
 from .varlab import (VarProcessSpec, bayes_risk_ci_cd, bayes_risk_sequence,
-                     make_var_spec, monte_carlo_risks, simulate)
+                     check_target, make_var_spec, monte_carlo_risks, simulate)
 
 EXIT_OK = 0
 EXIT_ASSERT_FAILED = 2
@@ -207,9 +207,9 @@ def resolve_data(data_arg: str, steps: int, seed: int
         return ds, {"source": str(path), "input_sha1": blob_sha1(fh)}
 
 
-def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
-                         ) -> tuple[WindowBatch, WindowBatch | None, WindowBatch]:
-    """Chronological split, train-statistics z-score, per-segment windows."""
+def split_segments(ds: TimeSeriesDataset, cfg: dict):
+    """The train, val and test column views of ds under cfg's split (val is
+    None at a zero fraction), and the train segment's z-score statistics."""
     try:
         fractions = tuple(float(f) for f in cfg["split"].split(","))
     except ValueError:
@@ -217,15 +217,19 @@ def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
     if len(fractions) != 3:
         raise ParameterError(
             f"--split needs three fractions, got {cfg['split']!r}")
-    lookback = cfg["lookback"]
-    horizon = cfg["horizon"]
-    segments = split_chronological(ds.values, fractions, lookback + horizon)
-    mean, scale = zscore_fit(segments[0])
-    train_w, val_w, test_w = (
-        None if seg is None
-        else sliding_windows(zscore_apply(seg, mean, scale), lookback, horizon)
+    segments = split_chronological(ds.values, fractions,
+                                   cfg["lookback"] + cfg["horizon"])
+    return segments, zscore_fit(segments[0])
+
+
+def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
+                         ) -> tuple[WindowBatch, WindowBatch | None, WindowBatch]:
+    """Chronological split, train-statistics z-score, per-segment windows."""
+    segments, (mean, scale) = split_segments(ds, cfg)
+    return tuple(
+        None if seg is None else sliding_windows(
+            zscore_apply(seg, mean, scale), cfg["lookback"], cfg["horizon"])
         for seg in segments)
-    return train_w, val_w, test_w
 
 
 def model_config(cfg: dict, channels: int) -> UCastConfig:
@@ -400,9 +404,11 @@ def _risk_spec(args) -> VarProcessSpec:
 def cmd_risk(args) -> int:
     if args.mc < 0:
         raise ParameterError(f"--mc must be >= 0 (0: no check), got {args.mc}")
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     try:
+        # the spec and the target are checked before --out is created
         spec = _risk_spec(args)
+        check_target(spec, args.target)
+        out = prepare_run_dir(args.out, args.force) if args.out else None
         report = bayes_risk_sequence(spec, target=args.target)
         pair = bayes_risk_ci_cd(spec, target=args.target) if spec.C == 2 else None
         mc = (monte_carlo_risks(spec, n_samples=args.mc, seed=args.seed,
@@ -414,41 +420,40 @@ def cmd_risk(args) -> int:
         raise ParameterError(
             "risk: the VAR spec's C x C matrices do not fit in memory; "
             "use fewer channels") from exc
+    rows = [{"p": p, "risk": float(risk), "gap": float(gap)}
+            for p, (risk, gap) in enumerate(zip(report.risks, report.gaps),
+                                            start=1)]
     print(f"structure {spec.structure}  C={spec.C}  target channel "
           f"{args.target}")
     print(f"Var(Y) = {report.var_y:.6f}  noise floor = "
           f"{report.noise_floor:.6f}")
     print("  p      risk       gap")
-    for p, (risk, gap) in enumerate(zip(report.risks, report.gaps), start=1):
-        print(f"{p:4d}  {risk:10.6f}  {gap:9.6f}")
+    for row in rows:
+        print(f"{row['p']:4d}  {row['risk']:10.6f}  {row['gap']:9.6f}")
     if pair is not None:
         print(f"two-channel closed form: r_ci {pair.r_ci:.6f}  "
               f"r_cd {pair.r_cd:.6f}  gap {pair.gap:.6f}")
-    mc_rows = None
-    if mc is not None:
-        mc_rows = []
+    mc_rows = None if mc is None else [
+        {"p": row["p"], "closed": row["risk"], "sampled": mc[row["p"]],
+         "delta": abs(row["risk"] - mc[row["p"]])} for row in rows]
+    if mc_rows is not None:
         print("  p   closed      sampled     |delta|")
-        for p, risk in enumerate(report.risks, start=1):
-            est = mc[p]
-            delta = abs(risk - est)
-            mc_rows.append({"p": p, "closed": float(risk),
-                            "sampled": float(est), "delta": float(delta)})
-            print(f"{p:4d}  {risk:10.6f}  {est:10.6f}  {delta:9.6f}")
+        for row in mc_rows:
+            print(f"{row['p']:4d}  {row['closed']:10.6f}  "
+                  f"{row['sampled']:10.6f}  {row['delta']:9.6f}")
     if out is not None:
-        write_csv(out / "risks.csv", ["p", "risk", "gap"], [
-            {"p": p, "risk": float(r), "gap": float(g)}
-            for p, (r, g) in enumerate(zip(report.risks, report.gaps),
-                                       start=1)])
+        write_csv(out / "risks.csv", ["p", "risk", "gap"], rows)
+        spec_dict = spec.to_dict()
         payload = {
             "command": "risk", "seed": args.seed, "target": args.target,
             "var_y": report.var_y, "noise_floor": report.noise_floor,
             "spec_sha1": blob_sha1(io.BytesIO(
-                json.dumps(spec.to_dict(), sort_keys=True).encode())),
+                json.dumps(spec_dict, sort_keys=True).encode())),
         }
         if mc_rows is not None:
             payload["mc"], payload["monte_carlo"] = args.mc, mc_rows
         write_json(out / "config.json", payload)
-        write_json(out / "spec.json", spec.to_dict())
+        write_json(out / "spec.json", spec_dict)
     return EXIT_OK
 
 
@@ -542,9 +547,10 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"checkpoint expects {ucfg.channels} channels, dataset has "
             f"{ds.n_channels}")
-    _, _, test_w = windows_from_dataset(ds, cfg)
-    model = Forecaster(ucfg, params)
-    mse, mae = evaluate(model, test_w)
+    # the test segment alone is windowed; train gives the z-score statistics
+    (_, _, test), (mean, scale) = split_segments(ds, cfg)
+    mse, mae = evaluate(Forecaster(ucfg, params), sliding_windows(
+        zscore_apply(test, mean, scale), ucfg.lookback, ucfg.horizon))
     print(f"test_mse: {mse}")
     print(f"test_mae: {mae}")
     if out is not None:
@@ -624,11 +630,9 @@ def cmd_bench(args) -> int:
     for s in samples:
         print(f"{s.channels:8d}  {s.mechanism:13s}  {s.seconds:.6f}  "
               f"{s.score_entries:13d}")
+    by_cell = {(s.channels, s.mechanism): s for s in samples}
     for c in channels:
-        h = next(s for s in samples
-                 if s.channels == c and s.mechanism == "HLQN")
-        f = next(s for s in samples
-                 if s.channels == c and s.mechanism == "FlatAttention")
+        h, f = by_cell[c, "HLQN"], by_cell[c, "FlatAttention"]
         print(f"C={c}: analytic ratio {h.score_entries / f.score_entries:.6f}"
               f"  time ratio {h.seconds / f.seconds:.4f}")
     if out is not None:
@@ -678,6 +682,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every command takes --seed; a negative one is refused before any
+        # command begins, whether or not it draws
+        if args.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -157,11 +157,13 @@ class TestSnapshots:
     def test_exported_covariance_matches_trace(self, tmp_path):
         model, trace = self.make_trace()
         export_snapshots(tmp_path, trace, epoch=0)
-        h = trace.h_nodes[1].value
-        sigma = (h @ h.T) / float(h.shape[1])
-        back = np.loadtxt(tmp_path / "cov_epoch0_layer1.csv", delimiter=",",
-                          ndmin=2)
-        assert np.array_equal(back, sigma)
+        assert len(trace.h_nodes) == 3
+        for layer, node in enumerate(trace.h_nodes[1:], start=1):
+            h = node.value
+            sigma = (h @ h.T) / float(h.shape[1])
+            back = np.loadtxt(tmp_path / f"cov_epoch0_layer{layer}.csv",
+                              delimiter=",", ndmin=2)
+            assert np.array_equal(back, sigma), layer
 
     def test_artifact_index_round_trip(self, tmp_path):
         # the index cmd_train writes: export_snapshots entries under "entries"

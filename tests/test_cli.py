@@ -246,14 +246,24 @@ class TestUsageErrors:
         ["synth", "--structure", "anti_self", "--channels", "4",
          "--pooled", "1", "--seed", "-3"],
         ["risk", "--structure", "anti_self", "--channels", "4",
+         "--seed", "-1", "--mc", "10"],
+        ["risk", "--structure", "anti_self", "--channels", "4",
          "--seed", "-1"],
-    ], ids=["train", "synth", "risk"])
-    def test_negative_seed_exits_64(self, argv):
-        proc = subprocess.run([sys.executable, "-m", "ucast", *argv],
-                              capture_output=True, text=True)
+        ["eval", "--checkpoint", "absent", "--data", "var:anti_self:4:120",
+         "--seed", "-1"],
+        ["bench", "--channels", "8", "--seed", "-1"],
+    ], ids=["train", "synth", "risk-mc", "risk", "eval", "bench"])
+    def test_negative_seed_exits_64(self, argv, tmp_path):
+        # refused before any command begins, so no --out is created, even
+        # where nothing would be drawn
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucast", *argv, "--out", str(out)],
+            capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
-        assert_one_error_line(proc.stderr, "seed must be >= 0")
+        assert_one_error_line(proc.stderr, "seed must be >= 0, got -")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
     @pytest.mark.parametrize("flags, name", [
@@ -694,6 +704,33 @@ class TestTrainArtifacts:
         assert evaluated["test_mse"] == report["test_mse"]
         capsys.readouterr()
 
+    def test_eval_windows_only_the_test_segment(self, train_run, tmp_path,
+                                                monkeypatch, capsys):
+        # one sliding_windows call, and the numbers of evaluating the test
+        # windows of the full three-segment split
+        _, out, _ = train_run
+        data = "var:independent:4:120"
+        params, ucfg = cli.load_checkpoint(out / "checkpoint")
+        ds, _ = cli.resolve_data(data, TABLE_DEFAULTS["steps"], 0)
+        cfg = {"split": TABLE_DEFAULTS["split"], "lookback": ucfg.lookback,
+               "horizon": ucfg.horizon}
+        mse, mae = training.evaluate(Forecaster(ucfg, params),
+                                     cli.windows_from_dataset(ds, cfg)[2])
+        windows, calls = cli.sliding_windows, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return windows(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sliding_windows", counted)
+        code = main(["eval", "--checkpoint", str(out / "checkpoint"),
+                     "--data", data, "--out", str(tmp_path / "eval_run")])
+        assert code == EXIT_OK
+        assert calls == [cli.split_segments(ds, cfg)[0][2].shape]
+        report = json.loads((tmp_path / "eval_run" / "report.json").read_text())
+        assert report == {"test_mse": mse, "test_mae": mae}
+        capsys.readouterr()
+
     def test_eval_records_its_settings(self, train_run, tmp_path, capsys):
         # two splits give two test sets, and each config.json names its own
         _, out, _ = train_run
@@ -996,12 +1033,16 @@ class TestRisk:
             assert sampled[seed] == [want[p] for p in (1, 2, 3)]
         assert sampled[3] != sampled[4]
         capsys.readouterr()
-        code = main(["risk", "--spec-file", str(spec_path), "--mc", "100",
-                     "--seed", "-1"])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert_one_error_line(captured.err, "seed must be >= 0")
+        # a spec file draws nothing without --mc; the seed is refused anyway
+        for mc in (["--mc", "100"], []):
+            out = tmp_path / f"refused{len(mc)}"
+            code = main(["risk", "--spec-file", str(spec_path), *mc,
+                         "--seed", "-1", "--out", str(out)])
+            assert code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert_one_error_line(captured.err, "seed must be >= 0")
+            assert not out.exists()
 
     @pytest.mark.parametrize("name", ["make_var_spec", "bayes_risk_sequence",
                                       "monte_carlo_risks"])
@@ -1024,6 +1065,22 @@ class TestRisk:
         assert captured.out == ""
         assert_one_error_line(captured.err, "--mc must be >= 0")
         assert not (tmp_path / "risk").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--channels", "4", "--target", "9"], "target 9 out of range for C=4"),
+        (["--channels", "4", "--target", "-1"],
+         "target -1 out of range for C=4"),
+        (["--channels", "1"], "C must be >= 2, got 1")])
+    def test_refused_spec_or_target_leaves_no_out(self, flags, message,
+                                                  tmp_path, capsys):
+        out = tmp_path / "risk"
+        code = main(["risk", "--structure", "anti_self", *flags,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, message)
+        assert not out.exists()
 
     def test_spec_file_round_trip(self, tmp_path, capsys):
         spec = make_var_spec("independent", 3, seed=4)
