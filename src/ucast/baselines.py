@@ -36,7 +36,7 @@ from .errors import DataError, ParameterError, ShapeError
 from .linalg import as_stack
 from .rng import Stream
 from .training import TrainConfig, TrainReport, train
-from .varlab import make_var_spec, simulate
+from .varlab import check_var_args, make_var_spec, simulate
 
 BASELINE_MODES = ("ci", "cd")
 
@@ -97,12 +97,20 @@ class LinearBaseline:
             raise ShapeError(
                 f"window shape {x.shape} vs (C={self.channels}, "
                 f"T={self.lookback})")
-        per_channel = tape.add(
-            tape.matmul(tape.constant(x), nodes["w_time"]), nodes["b_time"])
+        window = tape.constant(x)
         if self.mode == "ci":
-            return per_channel
-        mixed = tape.matmul(nodes["w_mix"], per_channel)
-        return tape.add(mixed, nodes["b_mix"])
+            return tape.add(tape.matmul(window, nodes["w_time"]),
+                            nodes["b_time"])
+        # w_mix (x w_time + b_time) + b_mix, associated as
+        # (w_mix x) w_time + (w_mix (1 b_time) + b_mix): x is a constant, so
+        # the only C x C product backward forms is w_mix's gradient, and the
+        # bias is one (C, S) term shared by every window of a stack
+        mixed = tape.matmul(tape.matmul(nodes["w_mix"], window),
+                            nodes["w_time"])
+        bias_rows = tape.matmul(tape.constant(np.ones((self.channels, 1))),
+                                nodes["b_time"])
+        bias = tape.add(tape.matmul(nodes["w_mix"], bias_rows), nodes["b_mix"])
+        return tape.add(mixed, bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         tape = Tape()
@@ -198,6 +206,16 @@ def _pool_windows(batches: list[WindowBatch]) -> WindowBatch:
         starts=np.concatenate([b.starts for b in batches]))
 
 
+def check_settings(settings) -> None:
+    """Refuse a cell before any series is drawn: a structure or channel
+    count make_var_spec refuses, or fewer than one pooled sequence."""
+    for structure, channels, pooled in settings:
+        check_var_args(structure, channels, EXPERIMENT_TARGET_RADIUS)
+        if pooled < 1:
+            raise ParameterError(f"{structure} C={channels}: pooled "
+                                 f"sequences must be >= 1, got {pooled}")
+
+
 def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
                          ) -> ExperimentResult:
     """Simulate, window, split, standardize, train both baselines per cell.
@@ -208,11 +226,9 @@ def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
     channel statistics fitted on the training prefix only, training windows
     pooled across sequences, and 100 training epochs for each model.
     """
+    check_settings(settings)
     result = ExperimentResult(seed=seed)
     for structure, channels, pooled in settings:
-        if pooled < 1:
-            raise ParameterError(f"{structure} C={channels}: pooled "
-                                 f"sequences must be >= 1, got {pooled}")
         train_parts = []
         test_parts = []
         for k in range(pooled):

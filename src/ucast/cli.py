@@ -26,8 +26,9 @@ from pathlib import Path
 
 from . import baselines as bl
 from . import analysis
-from .data import (TimeSeriesDataset, WindowBatch, load_csv, sliding_windows,
-                   split_chronological, zscore_apply, zscore_fit)
+from .data import (TimeSeriesDataset, WindowBatch, check_split_ratios,
+                   load_csv, sliding_windows, split_chronological,
+                   zscore_apply, zscore_fit)
 from .errors import (DataError, FormatError, ParameterError, ShapeError,
                      UcastError, finite, integral, text)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
@@ -207,17 +208,24 @@ def resolve_data(data_arg: str, steps: int, seed: int
         return ds, {"source": str(path), "input_sha1": blob_sha1(fh)}
 
 
-def split_segments(ds: TimeSeriesDataset, cfg: dict):
-    """The train, val and test column views of ds under cfg's split (val is
-    None at a zero fraction), and the train segment's z-score statistics."""
+def split_fractions(text: str) -> tuple[float, float, float]:
+    """--split as (train, val, test) fractions, refused unless some series
+    could be cut by them; every command that cuts a series reads it once
+    before --out is created, and again where it cuts."""
     try:
-        fractions = tuple(float(f) for f in cfg["split"].split(","))
+        fractions = tuple(float(f) for f in text.split(","))
     except ValueError:
         fractions = ()
     if len(fractions) != 3:
-        raise ParameterError(
-            f"--split needs three fractions, got {cfg['split']!r}")
-    segments = split_chronological(ds.values, fractions,
+        raise ParameterError(f"--split needs three fractions, got {text!r}")
+    check_split_ratios(fractions)
+    return fractions
+
+
+def split_segments(ds: TimeSeriesDataset, cfg: dict):
+    """The train, val and test column views of ds under cfg's split (val is
+    None at a zero fraction), and the train segment's z-score statistics."""
+    segments = split_chronological(ds.values, split_fractions(cfg["split"]),
                                    cfg["lookback"] + cfg["horizon"])
     return segments, zscore_fit(segments[0])
 
@@ -355,6 +363,7 @@ def cmd_synth(args) -> int:
     else:
         preset = args.settings or "default"
         settings = bl.FULL_SETTINGS if preset == "full" else bl.QUICK_SETTINGS
+    bl.check_settings(settings)
     out = prepare_run_dir(args.out, args.force) if args.out else None
     result = bl.run_ci_cd_experiment(settings=settings, seed=args.seed)
     violations = bl.assert_paper_orderings(result)
@@ -488,6 +497,7 @@ def cmd_train(args) -> int:
     tcfg = train_config(cfg)
     snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"],
                                                      tcfg.max_epochs)
+    split_fractions(cfg["split"])
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     # built first, so its own rules refuse a zero lookback or horizon
@@ -541,6 +551,7 @@ def cmd_eval(args) -> int:
     params, ucfg = load_checkpoint(ckpt)
     cfg = {**_resolve(args, TABLE_DEFAULTS), "lookback": ucfg.lookback,
            "horizon": ucfg.horizon}
+    split_fractions(cfg["split"])
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     if ds.n_channels != ucfg.channels:
@@ -571,6 +582,7 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     config.json are written.  Returns the rows, or None once a run diverges.
     """
     cfg = _resolve(args, DESK_DEFAULTS)
+    split_fractions(cfg["split"])
     out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     # every run's config is built first, so its own rules refuse a zero
@@ -622,6 +634,7 @@ def cmd_bench(args) -> int:
         raise ParameterError(f"bad --channels list '{args.channels}'") from exc
     if not channels:
         raise ParameterError("--channels lists no channel count")
+    analysis.check_bench(channels, args.d, args.ratio, args.heads, args.repeats)
     out = prepare_run_dir(args.out, args.force) if args.out else None
     samples = analysis.bench_attention(channels, d=args.d, ratio=args.ratio,
                                        heads=args.heads, repeats=args.repeats,

@@ -159,6 +159,18 @@ def sliding_windows(values: np.ndarray, lookback: int,
     return WindowBatch(inputs, targets, np.arange(count))
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Refuse ratios split_chronological refuses for every series length."""
+    if len(ratios) != 3:
+        raise ParameterError(f"need (train, val, test) ratios, got {ratios}")
+    # stated as what must hold, so that a NaN ratio fails it
+    if not (ratios[0] > 0 and ratios[1] >= 0 and ratios[2] > 0
+            and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ParameterError(
+            "ratios must be non-negative with nonzero train and test, and "
+            f"sum to 1, got {ratios}")
+
+
 def split_chronological(values: np.ndarray, ratios: tuple[float, float, float],
                         min_rows: int
                         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -170,14 +182,7 @@ def split_chronological(values: np.ndarray, ratios: tuple[float, float, float],
     horizon of the intended windows) makes a too-short non-empty segment
     fail here instead of downstream.
     """
-    if len(ratios) != 3:
-        raise ParameterError(f"need (train, val, test) ratios, got {ratios}")
-    # stated as what must hold, so that a NaN ratio fails it
-    if not (ratios[0] > 0 and ratios[1] >= 0 and ratios[2] > 0
-            and abs(sum(ratios) - 1.0) <= 1e-9):
-        raise ParameterError(
-            "ratios must be non-negative with nonzero train and test, and "
-            f"sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     n = values.shape[1]
     n1 = int(math.floor(n * ratios[0]))
     n2 = int(math.floor(n * (ratios[0] + ratios[1])))

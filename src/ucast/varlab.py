@@ -177,23 +177,28 @@ def make_var_spec(structure: str, C: int, seed: int = 0,
     such specs have no stationary law and the risk oracles reject them.
     Noise covariance is identity.
     """
-    if C < 2:
-        raise ParameterError(f"C must be >= 2, got {C}")
-    if not (0.0 < target_radius <= 2.0):
-        raise ParameterError(f"target_radius must be in (0, 2], got {target_radius}")
+    check_var_args(structure, C, target_radius)
     stream = Stream(seed, (_structure_id(structure), C))
     if structure == "independent":
         a = np.diag(stream.uniform(0.8, 1.0, C))
-    elif structure == "anti_self":
+    else:
         a = stream.uniform(0.5, 1.0, (C, C))
         np.fill_diagonal(a, 0.0)
-    else:
-        raise ParameterError(f"unknown structure '{structure}'")
     measured = spectral_radius(a)
     if measured >= target_radius:
         a = a * (target_radius / measured)
     return VarProcessSpec(structure=structure, C=C, A=a,
                           noise_diag=np.ones(C), seed=seed)
+
+
+def check_var_args(structure: str, C: int, target_radius: float) -> None:
+    """Refuse what make_var_spec refuses, before anything is drawn."""
+    if C < 2:
+        raise ParameterError(f"C must be >= 2, got {C}")
+    if not (0.0 < target_radius <= 2.0):
+        raise ParameterError(f"target_radius must be in (0, 2], got {target_radius}")
+    if structure not in ("independent", "anti_self"):
+        raise ParameterError(f"unknown structure '{structure}'")
 
 
 def _structure_id(structure: str) -> int:

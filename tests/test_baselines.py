@@ -40,6 +40,34 @@ class TestLinearBaseline:
         assert np.allclose(model.predict(x), want, atol=1e-14)
         assert set(model.params) == {"w_time", "b_time", "w_mix", "b_mix"}
 
+    def test_cd_stack_at_synth_shape_matches_textbook_order(self):
+        # the graph associates as (w_mix x) w_time + (w_mix (1 b_time) +
+        # b_mix); at the synth table's widest checked cell it must agree
+        # with w_mix (x w_time + b_time) + b_mix to rounding
+        model = LinearBaseline("cd", channels=250, lookback=4, horizon=4,
+                               seed=1)
+        stream = Stream(3, (92,))
+        for name, value in model.params.items():
+            model.params[name] = value + stream.normal(value.shape) * 0.1
+        x = stream.normal((32, 250, 4))
+        p = model.params
+        want = p["w_mix"] @ (x @ p["w_time"] + p["b_time"]) + p["b_mix"]
+        got = model.predict(x)
+        assert got.shape == (32, 250, 4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_ci_stack_bits_are_the_flat_product_plus_bias(self):
+        # ci runs a stack as one flattened (B C, T) product and a bias add;
+        # its predictions keep those bits exactly
+        model = LinearBaseline("ci", channels=250, lookback=4, horizon=4,
+                               seed=1)
+        stream = Stream(4, (92,))
+        for name, value in model.params.items():
+            model.params[name] = value + stream.normal(value.shape) * 0.1
+        x = stream.normal((32, 250, 4))
+        flat = (x.reshape(-1, 4) @ model.params["w_time"]).reshape(32, 250, 4)
+        assert np.array_equal(model.predict(x), flat + model.params["b_time"])
+
     def test_mode_and_shape_validation(self):
         with pytest.raises(ParameterError):
             LinearBaseline("cm", channels=3, lookback=4, horizon=4)

@@ -265,6 +265,31 @@ class TestUsageErrors:
         assert_one_error_line(proc.stderr, "seed must be >= 0, got -")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["synth", "--structure", "anti_self", "--channels", "4",
+          "--pooled", "0"], "pooled sequences must be >= 1, got 0"),
+        (["synth", "--structure", "nope", "--channels", "4"],
+         "unknown structure 'nope'"),
+        (["bench", "--channels", "8", "--heads", "3", "--d", "32"],
+         "d=32 must be divisible by heads=3"),
+        (["train", "--data", "var:anti_self:4:120", "--split", "0.5,0.5"],
+         "--split needs three fractions, got '0.5,0.5'"),
+        (["sweep", "--data", "var:anti_self:4:120", "--param", "alpha",
+          "--split", "0.5,0.6,0.2"], "sum to 1"),
+    ], ids=["synth-pooled", "synth-structure", "bench", "train", "sweep"])
+    def test_refused_parameter_leaves_no_run_directory(self, argv, fragment,
+                                                       tmp_path):
+        # each is read before --out is created, so the refusal leaves no
+        # empty run directory behind
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucast", *argv, "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert_one_error_line(proc.stderr, fragment)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
     @pytest.mark.parametrize("flags, name", [
         (["--lookback", "0"], "lookback"),

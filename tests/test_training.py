@@ -656,6 +656,31 @@ def directional_errors(model, x, y, steps, directions=4, seed=0):
 
 
 class TestDirectionalGradients:
+    @pytest.mark.parametrize("mode", BASELINE_MODES)
+    def test_baseline_at_synth_cell_shape(self, mode):
+        # B=32, C=250, lookback 4, horizon 4, the synth table's anti_self
+        # C=250 cell, with weights of 0.1 std added so every bias is
+        # nonzero.  ci's loss is quadratic in its parameters, so a central
+        # difference is exact but for rounding; cd's is quartic, and its
+        # error falls as eps^2.  Measured over 12 directions (these 4 and
+        # seeds 1-2; 2 vCPU, numpy 2.4.6): ci at most 6.3e-13 |grad L| at
+        # eps=1e-3; cd at most 1.7e-11 |grad L|, falling by 84x or more
+        # from eps=1e-2.
+        model = LinearBaseline(mode, channels=250, lookback=4, horizon=4)
+        for i, (name, value) in enumerate(model.params.items()):
+            model.params[name] = value + Stream(i, (88,)).normal(
+                value.shape) * 0.1
+        stream = Stream(2, (99,))
+        x = stream.normal((32, 250, 4))
+        y = stream.normal((32, 250, 4))
+        grad_norm, results = directional_errors(model, x, y, (1e-2, 1e-3))
+        for slope, (coarse, fine) in results:
+            if mode == "ci":
+                assert fine <= 1e-11 * grad_norm, (slope, fine / grad_norm)
+            else:
+                assert fine <= 1e-9 * grad_norm, (slope, fine / grad_norm)
+                assert coarse >= 50 * fine, (slope, coarse / fine)
+
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_desk_stack_matches_central_differences(self, variant, heads):
