@@ -260,17 +260,6 @@ def _attention_pass(channels: int, d: int, queries: int, heads: int,
     return run_once
 
 
-def check_bench(channel_list, d: int, ratio: int, heads: int,
-                repeats: int) -> None:
-    """Refuse what bench_attention refuses, before any pass is built."""
-    if repeats < 1:
-        raise ParameterError(f"repeats must be >= 1, got {repeats}")
-    for channels in channel_list:
-        # the forecaster's own rules for channels, d, ratio and heads
-        UCastConfig(channels=channels, lookback=1, horizon=1, d=d, layers=1,
-                    ratio=ratio, heads=heads)
-
-
 def bench_attention(channel_list, d: int = 64,
                     ratio: int = UCastConfig.ratio,
                     heads: int = UCastConfig.heads,
@@ -287,7 +276,13 @@ def bench_attention(channel_list, d: int = 64,
     where numpy's bundled OpenBLAS allows it; each sample records the count
     in effect.  Score-entry counts are computed, not measured.
     """
-    check_bench(channel_list, d, ratio, heads, repeats)
+    if repeats < 1:
+        raise ParameterError(f"repeats must be >= 1, got {repeats}")
+    for channels in channel_list:
+        # the forecaster's own rules for channels, d, ratio and heads, for
+        # every width before any pass is built
+        UCastConfig(channels=channels, lookback=1, horizon=1, d=d, layers=1,
+                    ratio=ratio, heads=heads)
     samples = []
     for channels in channel_list:
         latent = max(1, channels // ratio)

@@ -206,16 +206,6 @@ def _pool_windows(batches: list[WindowBatch]) -> WindowBatch:
         starts=np.concatenate([b.starts for b in batches]))
 
 
-def check_settings(settings) -> None:
-    """Refuse a cell before any series is drawn: a structure or channel
-    count make_var_spec refuses, or fewer than one pooled sequence."""
-    for structure, channels, pooled in settings:
-        check_var_args(structure, channels, EXPERIMENT_TARGET_RADIUS)
-        if pooled < 1:
-            raise ParameterError(f"{structure} C={channels}: pooled "
-                                 f"sequences must be >= 1, got {pooled}")
-
-
 def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
                          ) -> ExperimentResult:
     """Simulate, window, split, standardize, train both baselines per cell.
@@ -226,7 +216,12 @@ def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
     channel statistics fitted on the training prefix only, training windows
     pooled across sequences, and 100 training epochs for each model.
     """
-    check_settings(settings)
+    # every cell is checked before any series is drawn
+    for structure, channels, pooled in settings:
+        check_var_args(structure, channels, EXPERIMENT_TARGET_RADIUS)
+        if pooled < 1:
+            raise ParameterError(f"{structure} C={channels}: pooled "
+                                 f"sequences must be >= 1, got {pooled}")
     result = ExperimentResult(seed=seed)
     for structure, channels, pooled in settings:
         train_parts = []

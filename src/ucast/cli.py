@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -35,7 +36,7 @@ from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, evaluate, train
 from .varlab import (VarProcessSpec, bayes_risk_ci_cd, bayes_risk_sequence,
-                     check_target, make_var_spec, monte_carlo_risks, simulate)
+                     make_var_spec, monte_carlo_risks, simulate)
 
 EXIT_OK = 0
 EXIT_ASSERT_FAILED = 2
@@ -136,16 +137,20 @@ def _resolve(args, defaults: dict) -> dict:
     return {**resolved, "seed": args.seed, "data": args.data}
 
 
-def prepare_run_dir(out, force: bool) -> Path:
-    """Create the output directory; refuse to reuse one without --force."""
-    out = Path(out)
-    marker = out / "config.json"
-    if marker.exists() and not force:
+def prepare_run_dir(out: Path, force: bool, made: list[Path]) -> None:
+    """Create out and any missing parents, refusing a run directory unless
+    force is set; each level made goes first in `made` as it is made."""
+    if (out / "config.json").exists() and not force:
         raise ParameterError(
             f"output directory {out} already holds a run; pass --force to "
             "overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    for path in reversed([p for p in (out, *out.parents) if not p.exists()]):
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue        # there all along, as y in x/../y once x is made
+        made.insert(0, path)
+    out.mkdir(exist_ok=True)        # refuses an out that is a file
 
 
 def write_json(path, payload: dict) -> None:
@@ -211,7 +216,7 @@ def resolve_data(data_arg: str, steps: int, seed: int
 def split_fractions(text: str) -> tuple[float, float, float]:
     """--split as (train, val, test) fractions, refused unless some series
     could be cut by them; every command that cuts a series reads it once
-    before --out is created, and again where it cuts."""
+    before any data is built, and again where it cuts."""
     try:
         fractions = tuple(float(f) for f in text.split(","))
     except ValueError:
@@ -255,7 +260,7 @@ def train_config(cfg: dict) -> TrainConfig:
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="allow writing into an existing run directory")
 
@@ -363,8 +368,6 @@ def cmd_synth(args) -> int:
     else:
         preset = args.settings or "default"
         settings = bl.FULL_SETTINGS if preset == "full" else bl.QUICK_SETTINGS
-    bl.check_settings(settings)
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     result = bl.run_ci_cd_experiment(settings=settings, seed=args.seed)
     violations = bl.assert_paper_orderings(result)
     for cell in result.cells:
@@ -373,14 +376,14 @@ def cmd_synth(args) -> int:
               f"cd/ci {cell.ratio_cd_over_ci:.4f}")
     for v in violations:
         print(f"ordering violation: {v}")
-    if out is not None:
-        write_csv(out / "table.csv", ["structure", "C", "model", "test_mse"],
+    if args.out is not None:
+        write_csv(args.out / "table.csv", ["structure", "C", "model", "test_mse"],
                   result.rows())
         summary = result.to_dict()
         if args.assert_paper:
             summary["ordering_violations"] = violations
-        write_json(out / "summary.json", summary)
-        write_json(out / "config.json", {
+        write_json(args.out / "summary.json", summary)
+        write_json(args.out / "config.json", {
             "command": "synth", "seed": args.seed,
             "settings": [list(s) for s in settings],
             "assert_paper": bool(args.assert_paper),
@@ -414,10 +417,7 @@ def cmd_risk(args) -> int:
     if args.mc < 0:
         raise ParameterError(f"--mc must be >= 0 (0: no check), got {args.mc}")
     try:
-        # the spec and the target are checked before --out is created
         spec = _risk_spec(args)
-        check_target(spec, args.target)
-        out = prepare_run_dir(args.out, args.force) if args.out else None
         report = bayes_risk_sequence(spec, target=args.target)
         pair = bayes_risk_ci_cd(spec, target=args.target) if spec.C == 2 else None
         mc = (monte_carlo_risks(spec, n_samples=args.mc, seed=args.seed,
@@ -450,8 +450,8 @@ def cmd_risk(args) -> int:
         for row in mc_rows:
             print(f"{row['p']:4d}  {row['closed']:10.6f}  "
                   f"{row['sampled']:10.6f}  {row['delta']:9.6f}")
-    if out is not None:
-        write_csv(out / "risks.csv", ["p", "risk", "gap"], rows)
+    if args.out is not None:
+        write_csv(args.out / "risks.csv", ["p", "risk", "gap"], rows)
         spec_dict = spec.to_dict()
         payload = {
             "command": "risk", "seed": args.seed, "target": args.target,
@@ -461,8 +461,8 @@ def cmd_risk(args) -> int:
         }
         if mc_rows is not None:
             payload["mc"], payload["monte_carlo"] = args.mc, mc_rows
-        write_json(out / "config.json", payload)
-        write_json(out / "spec.json", spec_dict)
+        write_json(args.out / "config.json", payload)
+        write_json(args.out / "spec.json", spec_dict)
     return EXIT_OK
 
 
@@ -498,46 +498,52 @@ def cmd_train(args) -> int:
     snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"],
                                                      tcfg.max_epochs)
     split_fractions(cfg["split"])
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    # built first, so its own rules refuse a zero lookback or horizon
+    # built before windowing, so its own rules refuse a zero lookback or
+    # horizon before any window is cut
     ucfg = model_config(cfg, ds.n_channels)
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
     model = Forecaster(ucfg)
+    if args.out is not None and args.force:
+        # every check has passed: an earlier run's checkpoint and snapshots
+        # go, so none is left beside a config that does not describe it
+        for stale in (args.out / "checkpoint", args.out / "snapshots"):
+            if stale.exists():
+                shutil.rmtree(stale)
     index_entries: list[dict] = []
     probe = train_w.inputs[0]
 
     callback = None
-    if (snap_epochs or snap_final) and out is not None:
+    if (snap_epochs or snap_final) and args.out is not None:
         def callback(epoch: int, m) -> None:
             if epoch in snap_epochs:
                 entry = analysis.export_snapshots(
-                    out / "snapshots", m.trace(probe), epoch)
+                    args.out / "snapshots", m.trace(probe), epoch)
                 index_entries.append(entry)
 
     report = train(model, train_w, val_w, test_w, tcfg,
                    epoch_callback=callback)
     # the model now holds the best validated epoch's parameters, which the
     # callback has exported already if that epoch was listed
-    if (snap_final and out is not None and not report.diverged
+    if (snap_final and args.out is not None and not report.diverged
             and report.best_epoch not in snap_epochs):
         entry = analysis.export_snapshots(
-            out / "snapshots", model.trace(probe), report.best_epoch)
+            args.out / "snapshots", model.trace(probe), report.best_epoch)
         index_entries.append(entry)
     summary = report.summary()
-    if out is not None:
-        write_json(out / "config.json",
+    if args.out is not None:
+        write_json(args.out / "config.json",
                    {"command": "train", **cfg, **provenance})
-        with open(out / "train_log.jsonl", "w") as fh:
+        with open(args.out / "train_log.jsonl", "w") as fh:
             for record in report.epochs:
                 fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-        write_json(out / "report.json", summary)
-        write_json(out / "timing.json", report.timing())
+        write_json(args.out / "report.json", summary)
+        write_json(args.out / "timing.json", report.timing())
         if index_entries:
-            write_json(out / "snapshots" / "artifacts.json",
+            write_json(args.out / "snapshots" / "artifacts.json",
                        {"entries": index_entries})
         if not report.diverged:
-            save_checkpoint(out / "checkpoint", model.params, model.config)
+            save_checkpoint(args.out / "checkpoint", model.params, model.config)
     for key, value in summary.items():
         print(f"{key}: {value}")
     if report.diverged:
@@ -552,7 +558,6 @@ def cmd_eval(args) -> int:
     cfg = {**_resolve(args, TABLE_DEFAULTS), "lookback": ucfg.lookback,
            "horizon": ucfg.horizon}
     split_fractions(cfg["split"])
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
     if ds.n_channels != ucfg.channels:
         raise ShapeError(
@@ -564,10 +569,10 @@ def cmd_eval(args) -> int:
         zscore_apply(test, mean, scale), ucfg.lookback, ucfg.horizon))
     print(f"test_mse: {mse}")
     print(f"test_mae: {mae}")
-    if out is not None:
-        write_json(out / "config.json", {
+    if args.out is not None:
+        write_json(args.out / "config.json", {
             "command": "eval", **cfg, "checkpoint": str(ckpt), **provenance})
-        write_json(out / "report.json", {"test_mse": mse, "test_mae": mae})
+        write_json(args.out / "report.json", {"test_mse": mse, "test_mae": mae})
     return EXIT_OK
 
 
@@ -583,10 +588,9 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
     """
     cfg = _resolve(args, DESK_DEFAULTS)
     split_fractions(cfg["split"])
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    # every run's config is built first, so its own rules refuse a zero
-    # lookback or horizon, or a bad --values entry, before any run trains
+    # every run's config is built before windowing: its own rules refuse a
+    # zero lookback or horizon, or a bad --values entry, before any run trains
     configs = [model_config({**cfg, **overrides}, ds.n_channels)
                for _, _, overrides in runs]
     train_w, val_w, test_w = windows_from_dataset(ds, cfg)
@@ -601,9 +605,9 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
                      "test_mae": report.test_mae})
         print(f"{label:16s}  test_mse {report.test_mse:.6f}  "
               f"test_mae {report.test_mae:.6f}")
-    if out is not None:
-        write_csv(out / csv_name, [*columns, "test_mse", "test_mae"], rows)
-        write_json(out / "config.json", {
+    if args.out is not None:
+        write_csv(args.out / csv_name, [*columns, "test_mse", "test_mae"], rows)
+        write_json(args.out / "config.json", {
             "command": command, **config_extra, **cfg, **provenance})
     return rows
 
@@ -634,8 +638,6 @@ def cmd_bench(args) -> int:
         raise ParameterError(f"bad --channels list '{args.channels}'") from exc
     if not channels:
         raise ParameterError("--channels lists no channel count")
-    analysis.check_bench(channels, args.d, args.ratio, args.heads, args.repeats)
-    out = prepare_run_dir(args.out, args.force) if args.out else None
     samples = analysis.bench_attention(channels, d=args.d, ratio=args.ratio,
                                        heads=args.heads, repeats=args.repeats,
                                        seed=args.seed)
@@ -648,12 +650,12 @@ def cmd_bench(args) -> int:
         h, f = by_cell[c, "HLQN"], by_cell[c, "FlatAttention"]
         print(f"C={c}: analytic ratio {h.score_entries / f.score_entries:.6f}"
               f"  time ratio {h.seconds / f.seconds:.4f}")
-    if out is not None:
-        write_csv(out / "bench.csv",
+    if args.out is not None:
+        write_csv(args.out / "bench.csv",
                   ["channels", "d", "ratio", "heads", "mechanism", "seconds",
                    "score_entries", "blas_threads"],
                   [asdict(s) for s in samples])
-        write_json(out / "config.json", {
+        write_json(args.out / "config.json", {
             "command": "bench", "seed": args.seed,
             "channels": channels, "d": args.d, "ratio": args.ratio,
             "heads": args.heads, "repeats": args.repeats,
@@ -694,11 +696,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    made: list[Path] = []
     try:
         # every command takes --seed; a negative one is refused before any
         # command begins, whether or not it draws
         if args.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
+        if args.out is not None:
+            prepare_run_dir(args.out, args.force, made)
         return _COMMANDS[args.command](args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -723,6 +728,13 @@ def main(argv=None) -> int:
         # that is not positive definite) or ConvergenceError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    finally:
+        # however the command ended, what it made and left empty goes again
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                break
 
 
 if __name__ == "__main__":

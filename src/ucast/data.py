@@ -84,7 +84,7 @@ def load_csv(path) -> TimeSeriesDataset:
 
     buf = array("d")
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = filter(None, csv.reader(fh))
             first = next(reader, None)
             if first is None:

@@ -316,12 +316,6 @@ class RiskReport:
         self.gaps = self.risks[0] - self.risks
 
 
-def check_target(spec: VarProcessSpec, target: int) -> None:
-    """Refuse a target channel outside 0..C-1."""
-    if not (0 <= target < spec.C):
-        raise ParameterError(f"target {target} out of range for C={spec.C}")
-
-
 def _whitened(spec: VarProcessSpec, target: int
               ) -> tuple[np.ndarray, np.ndarray, float]:
     """L with S = L L^T, w = L^{-1} c for c = (A S)_target, and Var(Y).
@@ -334,7 +328,8 @@ def _whitened(spec: VarProcessSpec, target: int
     A spec whose bound is not small against the floor, or whose R_C misses
     the floor by more than it, is refused: float64 cannot resolve its risks.
     """
-    check_target(spec, target)
+    if not (0 <= target < spec.C):
+        raise ParameterError(f"target {target} out of range for C={spec.C}")
     s, chol = spec.stationary_cov, spec.stationary_chol
     a_t = spec.A[target]
     floor = float(spec.noise_diag[target])

@@ -11,6 +11,7 @@ import sys
 import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -265,30 +266,64 @@ class TestUsageErrors:
         assert_one_error_line(proc.stderr, "seed must be >= 0, got -")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, fragment", [
+    @pytest.mark.parametrize("argv, code, fragment", [
         (["synth", "--structure", "anti_self", "--channels", "4",
-          "--pooled", "0"], "pooled sequences must be >= 1, got 0"),
-        (["synth", "--structure", "nope", "--channels", "4"],
+          "--pooled", "0"], EXIT_USAGE,
+         "pooled sequences must be >= 1, got 0"),
+        (["synth", "--structure", "nope", "--channels", "4"], EXIT_USAGE,
          "unknown structure 'nope'"),
         (["bench", "--channels", "8", "--heads", "3", "--d", "32"],
-         "d=32 must be divisible by heads=3"),
+         EXIT_USAGE, "d=32 must be divisible by heads=3"),
         (["train", "--data", "var:anti_self:4:120", "--split", "0.5,0.5"],
-         "--split needs three fractions, got '0.5,0.5'"),
+         EXIT_USAGE, "--split needs three fractions, got '0.5,0.5'"),
         (["sweep", "--data", "var:anti_self:4:120", "--param", "alpha",
-          "--split", "0.5,0.6,0.2"], "sum to 1"),
-    ], ids=["synth-pooled", "synth-structure", "bench", "train", "sweep"])
-    def test_refused_parameter_leaves_no_run_directory(self, argv, fragment,
-                                                       tmp_path):
-        # each is read before --out is created, so the refusal leaves no
-        # empty run directory behind
-        out = tmp_path / "run"
+          "--split", "0.5,0.6,0.2"], EXIT_USAGE, "sum to 1"),
+        (["risk", "--structure", "anti_self", "--channels", "4",
+          "--target-radius", "1.5"], EXIT_USAGE, "spectral radius < 1"),
+        (["train", "--data", "var:anti_self:8:120", "--d", "8", "--heads",
+          "3"], EXIT_USAGE, "d=8 must be divisible by heads=3"),
+        (["train", "--data", "var:nope:8:120"], EXIT_USAGE,
+         "unknown structure 'nope'"),
+        (["train", "--data", "var:anti_self:8:5"], EXIT_USAGE,
+         "5 steps, need at least 11"),
+        (["sweep", "--data", "var:anti_self:8:120", "--param", "ratio",
+          "--values", "0"], EXIT_USAGE, "ratio must be >= 1, got 0"),
+        (["ablate", "--data", "var:anti_self:8:120", "--layers", "50"],
+         EXIT_USAGE, "layers=50 exceeds channels=8"),
+        (["train", "--data", "var:anti_self:8:120", "--lookback", "200"],
+         EXIT_MISSING_DATA, "too short to build a 208-row window"),
+        (["train", "--data", "missing.csv"], EXIT_MISSING_DATA,
+         "missing.csv: No such file or directory"),
+    ], ids=["synth-pooled", "synth-structure", "bench", "train", "sweep",
+            "risk-radius", "train-heads", "train-structure",
+            "train-steps", "sweep-values", "ablate-layers", "train-lookback",
+            "train-missing-csv"])
+    def test_refused_parameter_leaves_no_run_directory(self, argv, code,
+                                                       fragment, tmp_path):
+        # main makes --out before the command starts and removes it again
+        # when the command ends without writing into it
         proc = subprocess.run(
-            [sys.executable, "-m", "ucast", *argv, "--out", str(out)],
-            capture_output=True, text=True)
-        assert proc.returncode == EXIT_USAGE
+            [sys.executable, "-m", "ucast", *argv, "--out",
+             str(tmp_path / "run")], capture_output=True, text=True)
+        assert proc.returncode == code
         assert proc.stdout == ""
         assert_one_error_line(proc.stderr, fragment)
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_removes_only_the_directories_it_made(self, tmp_path,
+                                                          capsys):
+        refused = ["train", "--data", str(tmp_path / "absent.csv")]
+        assert main([*refused, "--out", str(tmp_path / "a/b/c")]) == (
+            EXIT_MISSING_DATA)
+        assert not (tmp_path / "a").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        # x/../kept names kept only once x is made: x goes, kept stays
+        for out in (kept, kept / "x" / "y", tmp_path / "x" / ".." / "kept"):
+            assert main([*refused, "--out", str(out)]) == EXIT_MISSING_DATA
+            assert list(tmp_path.iterdir()) == [kept]
+            assert list(kept.iterdir()) == []
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
     @pytest.mark.parametrize("flags, name", [
@@ -716,6 +751,26 @@ class TestTrainArtifacts:
         _, out, argv = train_run
         assert main(argv) == EXIT_USAGE
         assert "already holds a run" in capsys.readouterr().err
+
+    def test_force_rerun_drops_the_earlier_checkpoint_and_snapshots(
+            self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                "--out", str(out), "--force"]
+        assert main([*argv, "--snapshot-epochs", "0,1,final"]) == EXIT_OK
+        finished = read_bytes_map(out, skip=())
+        # refused before any data is built, and once the windows are cut:
+        # the earlier run keeps every byte
+        assert main([*argv, "--heads", "3"]) == EXIT_USAGE
+        assert main([*argv, "--lookback", "200"]) == EXIT_MISSING_DATA
+        assert read_bytes_map(out, skip=()) == finished
+        # a rerun that diverges leaves no checkpoint or snapshot that its
+        # config.json does not describe
+        assert main([*argv, "--lr", "1e9", "--clip-norm", "1e12"]) == (
+            EXIT_DIVERGED)
+        assert not (out / "checkpoint").exists()
+        assert not (out / "snapshots").exists()
+        capsys.readouterr()
 
     def test_eval_reproduces_test_mse(self, train_run, tmp_path, capsys):
         _, out, _ = train_run
@@ -1298,6 +1353,22 @@ class TestAblateAndSweep:
         assert len(rows) == 3
         assert rows[1].startswith("alpha,0.0,")
         capsys.readouterr()
+
+    def test_diverged_sweep_leaves_no_run_directory(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            return SimpleNamespace(diverged=True,
+                                   divergence_note="non-finite loss")
+
+        monkeypatch.setattr(cli, "train", diverged)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--data", "var:anti_self:4:100", *TINY_TRAIN,
+                     "--param", "alpha", "--values", "0,0.5",
+                     "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        assert "alpha=0.0: diverged (non-finite loss)" in (
+            capsys.readouterr().out)
+        assert not out.exists()
 
     def test_sweep_bad_values(self, capsys):
         code = main(["sweep", "--data", "var:anti_self:4:100", *TINY_TRAIN,

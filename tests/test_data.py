@@ -114,6 +114,20 @@ class TestLoadCsv:
         assert np.array_equal(ds.values, [[1.0, 2.0], [10.0, 20.0],
                                           [100.0, 200.0]])
 
+    @pytest.mark.parametrize("text, names", [
+        ("1.0,2.0\n3.0,4.0\n5.0,6.0\n", ["ch0", "ch1"]),
+        ("a,b\n1,10\n2,20\n", ["a", "b"])], ids=["headerless", "header"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, text, names):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+        # belongs to neither the first cell nor the first channel's name
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = load_csv(marked)
+        assert ds.channel_names == names
+        assert np.array_equal(ds.values, load_csv(plain).values)
+
     def test_headerless_gets_default_names(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,10\n2,20\n")
