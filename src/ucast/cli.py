@@ -22,21 +22,22 @@ import io
 import json
 import shutil
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import baselines as bl
 from . import analysis
 from .data import (TimeSeriesDataset, WindowBatch, check_split_ratios,
-                   load_csv, sliding_windows, split_chronological,
-                   zscore_apply, zscore_fit)
+                   csv_channels, load_csv, sliding_windows,
+                   split_chronological, zscore_apply, zscore_fit)
 from .errors import (DataError, FormatError, ParameterError, ShapeError,
                      UcastError, finite, integral, text)
 from .model import (Forecaster, UCastConfig, VARIANTS, build_variant,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, evaluate, train
-from .varlab import (VarProcessSpec, bayes_risk_ci_cd, bayes_risk_sequence,
-                     make_var_spec, monte_carlo_risks, simulate)
+from .varlab import (DEFAULT_TARGET_RADIUS, VarProcessSpec, bayes_risk_ci_cd,
+                     bayes_risk_sequence, check_var_args, make_var_spec,
+                     monte_carlo_risks, simulate)
 
 EXIT_OK = 0
 EXIT_ASSERT_FAILED = 2
@@ -50,7 +51,7 @@ _FIT = ("train", "ablate", "sweep")
 # config dataclass that declares it, where one does), the reader a flag or a
 # config value goes through, and the commands that read it (and so take its
 # flag, and its config key where --config exists); ablate sets the variant
-# itself, and the split stays text until the series is cut
+# itself, and the split stays text, as config.json records it
 SETTINGS = {
     "d": (UCastConfig.d, integral, _FIT),
     "layers": (UCastConfig.layers, integral, _FIT),
@@ -171,29 +172,10 @@ def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
 
 def resolve_data(data_arg: str, steps: int, seed: int
                  ) -> tuple[TimeSeriesDataset, dict]:
-    """Load a CSV path or generate `var:<structure>:<channels>` data.
-
-    Returns the dataset and a provenance record (source string plus content
-    hash) for the run config.
-    """
+    """Load a CSV path or generate `var:<structure>:<channels>` data; return
+    the dataset and its provenance record (source and content hash)."""
     if data_arg.startswith("var:"):
-        parts = data_arg.split(":")
-        if len(parts) not in (3, 4):
-            raise ParameterError(
-                f"--data var spec must be var:<structure>:<channels>"
-                f"[:steps], got '{data_arg}'")
-        structure = parts[1]
-        try:
-            channels = int(parts[2])
-            gen_steps = int(parts[3]) if len(parts) == 4 else steps
-        except ValueError as exc:
-            raise ParameterError(f"bad --data numbers in '{data_arg}'") from exc
-        if gen_steps <= bl.SERIES_BURN_IN:
-            # simulate discards the first SERIES_BURN_IN steps as burn-in
-            raise ParameterError(
-                f"--data {data_arg}: {gen_steps} steps, need at least "
-                f"{bl.SERIES_BURN_IN + 1} to outlast the "
-                f"{bl.SERIES_BURN_IN}-step burn-in")
+        structure, channels, gen_steps = _var_source(data_arg, steps)
         try:
             spec = make_var_spec(structure, channels, seed=seed)
             series = simulate(spec, gen_steps, bl.SERIES_BURN_IN)
@@ -202,9 +184,7 @@ def resolve_data(data_arg: str, steps: int, seed: int
                 f"--data {data_arg}: {channels} channels over {gen_steps} "
                 "steps do not fit in memory; use fewer channels or steps"
             ) from exc
-        ds = TimeSeriesDataset(
-            values=series,
-            channel_names=[f"ch{i}" for i in range(channels)])
+        ds = TimeSeriesDataset(series, [f"ch{i}" for i in range(channels)])
         return ds, {"source": data_arg, "steps": gen_steps,
                     "input_sha1": blob_sha1(io.BytesIO(ds.values.tobytes()))}
     path = Path(data_arg)
@@ -213,10 +193,30 @@ def resolve_data(data_arg: str, steps: int, seed: int
         return ds, {"source": str(path), "input_sha1": blob_sha1(fh)}
 
 
+def _var_source(data_arg: str, steps: int) -> tuple[str, int, int]:
+    """A `var:<structure>:<channels>[:steps]` spec as (structure, channels,
+    steps), refused unless make_var_spec and the burn-in accept it."""
+    parts = data_arg.split(":")
+    if len(parts) not in (3, 4):
+        raise ParameterError(f"--data var spec must be var:<structure>:"
+                             f"<channels>[:steps], got '{data_arg}'")
+    try:
+        channels = int(parts[2])
+        steps = int(parts[3]) if len(parts) == 4 else steps
+    except ValueError as exc:
+        raise ParameterError(f"bad --data numbers in '{data_arg}'") from exc
+    if steps <= bl.SERIES_BURN_IN:
+        # simulate discards the first SERIES_BURN_IN steps as burn-in
+        raise ParameterError(
+            f"--data {data_arg}: {steps} steps, need at least "
+            f"{bl.SERIES_BURN_IN + 1} to outlast the "
+            f"{bl.SERIES_BURN_IN}-step burn-in")
+    check_var_args(parts[1], channels, DEFAULT_TARGET_RADIUS)
+    return parts[1], channels, steps
+
+
 def split_fractions(text: str) -> tuple[float, float, float]:
-    """--split as (train, val, test) fractions, refused unless some series
-    could be cut by them; every command that cuts a series reads it once
-    before any data is built, and again where it cuts."""
+    """--split as (train, val, test) fractions some series can be cut by."""
     try:
         fractions = tuple(float(f) for f in text.split(","))
     except ValueError:
@@ -227,18 +227,12 @@ def split_fractions(text: str) -> tuple[float, float, float]:
     return fractions
 
 
-def split_segments(ds: TimeSeriesDataset, cfg: dict):
-    """The train, val and test column views of ds under cfg's split (val is
-    None at a zero fraction), and the train segment's z-score statistics."""
-    segments = split_chronological(ds.values, split_fractions(cfg["split"]),
-                                   cfg["lookback"] + cfg["horizon"])
-    return segments, zscore_fit(segments[0])
-
-
 def windows_from_dataset(ds: TimeSeriesDataset, cfg: dict
                          ) -> tuple[WindowBatch, WindowBatch | None, WindowBatch]:
     """Chronological split, train-statistics z-score, per-segment windows."""
-    segments, (mean, scale) = split_segments(ds, cfg)
+    segments = split_chronological(ds.values, split_fractions(cfg["split"]),
+                                   cfg["lookback"] + cfg["horizon"])
+    mean, scale = zscore_fit(segments[0])
     return tuple(
         None if seg is None else sliding_windows(
             zscore_apply(seg, mean, scale), cfg["lookback"], cfg["horizon"])
@@ -255,14 +249,92 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
+# -- run plan --------------------------------------------------------------
+
+SWEEP_RANGES = {"alpha": "0,0.001,0.01,0.1,1", "ratio": "2,4,8,16",
+                "layers": "1,2,3"}
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A train, eval, ablate or sweep run, checked before any series is
+    built: `settings` is its config.json less the data's provenance, and
+    `models` one model config per run (eval: the checkpoint's)."""
+    settings: dict
+    models: tuple[UCastConfig, ...]
+    train: TrainConfig | None
+    split: tuple[float, float, float]
+    snapshot_epochs: frozenset[int]
+    snapshot_final: bool
+    params: dict | None             # eval: the checkpoint's parameters
+
+    def series(self) -> tuple[TimeSeriesDataset, dict]:
+        """The series and its provenance, as resolve_data builds them."""
+        cfg = self.settings
+        ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
+        if ds.n_channels != self.models[0].channels:
+            raise DataError(f"{cfg['data']}: changed while it was read")
+        return ds, provenance
+
+
+def plan_run(args) -> RunPlan:
+    """Resolve a train, eval, ablate or sweep command into its plan, running
+    every check that needs no series: a var: source gives its channel count
+    from its spec, and a CSV from its first rows."""
+    settings, overrides, params = {"command": args.command}, [{}], None
+    if args.command == "eval":
+        ckpt = Path(args.checkpoint)
+        params, checkpointed = load_checkpoint(ckpt)
+        settings.update(checkpoint=str(ckpt), lookback=checkpointed.lookback,
+                        horizon=checkpointed.horizon)
+    elif args.command == "ablate":
+        overrides = [{"variant": variant} for variant in VARIANTS]
+    elif args.command == "sweep":
+        values_text = args.values or SWEEP_RANGES[args.param]
+        cast = float if args.param == "alpha" else int
+        try:
+            values = [cast(v) for v in values_text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ParameterError(f"bad --values list '{values_text}'") from exc
+        if not values:
+            raise ParameterError("--values lists no value")
+        settings.update(param=args.param, values=values)
+        overrides = [{args.param: value} for value in values]
+    settings = {**_resolve(args, TABLE_DEFAULTS if args.command in
+                           ("train", "eval") else DESK_DEFAULTS), **settings}
+    # its own rules refuse a max_epochs below 1 before the epochs are read
+    tcfg = None if args.command == "eval" else train_config(settings)
+    tokens = [token.strip() for token in
+              settings.get("snapshot_epochs", "").split(",") if token.strip()]
+    snap_epochs = set()
+    for token in tokens:
+        if token != "final":
+            try:
+                epoch = int(token)
+            except ValueError as exc:
+                raise ParameterError(f"bad snapshot epoch '{token}'") from exc
+            if not 0 <= epoch <= tcfg.max_epochs:
+                raise ParameterError(
+                    f"snapshot epoch {epoch} outside 0..{tcfg.max_epochs}: no "
+                    f"run with max_epochs={tcfg.max_epochs} reaches it")
+            snap_epochs.add(epoch)
+    split = split_fractions(settings["split"])
+    data = settings["data"]
+    channels = (_var_source(data, settings["steps"])[1]
+                if data.startswith("var:") else csv_channels(data))
+    if args.command != "eval":
+        models = tuple(model_config({**settings, **override}, channels)
+                       for override in overrides)
+    elif channels != checkpointed.channels:
+        raise ShapeError(f"checkpoint expects {checkpointed.channels} "
+                         f"channels, dataset has {channels}")
+    else:
+        models = (checkpointed,)
+    return RunPlan(settings, models, tcfg, split, frozenset(snap_epochs),
+                   "final" in tokens, params)
+
+
 # -- argument plumbing -----------------------------------------------------
-
-
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--force", action="store_true",
-                   help="allow writing into an existing run directory")
 
 
 def _add_settings(p: _Parser, command: str) -> None:
@@ -277,7 +349,7 @@ def _add_settings(p: _Parser, command: str) -> None:
                            choices=VARIANTS if name == "variant" else None,
                            help=_FLAG_HELP.get(name))
     if command in _FIT:
-        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--config", help="JSON config file")
 
 
 def build_parser() -> _Parser:
@@ -285,47 +357,40 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="CI-vs-CD synthetic table")
-    p.add_argument("--settings", choices=("default", "full"), default=None,
+    p = sub.add_parser("synth", help="CI-vs-CD synthetic table")
+    p.add_argument("--settings", choices=("default", "full"),
                    help="preset cell grid; full adds the C=2000 cell")
-    p.add_argument("--structure", default=None,
-                   help="custom single cell: structure name")
-    p.add_argument("--channels", type=int, default=None,
+    p.add_argument("--structure", help="custom single cell: structure name")
+    p.add_argument("--channels", type=int,
                    help="custom single cell: channel count")
     p.add_argument("--pooled", type=int, default=8,
                    help="sequences pooled for a custom cell")
     p.add_argument("--assert-paper", action="store_true",
                    help="fail (exit 2) when the published orderings break")
-    _add_common(p)
 
     p = sub.add_parser("risk", help="closed-form Bayes risks of a VAR spec")
-    p.add_argument("--spec-file", default=None,
-                   help="VarProcessSpec JSON file")
-    p.add_argument("--structure", default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--target-radius", dest="target_radius", type=float,
-                   default=None)
+    p.add_argument("--spec-file", help="VarProcessSpec JSON file")
+    p.add_argument("--structure")
+    p.add_argument("--channels", type=int)
+    p.add_argument("--target-radius", type=float,
+                   default=DEFAULT_TARGET_RADIUS)
     p.add_argument("--target", type=int, default=0,
                    help="target channel index")
     p.add_argument("--mc", type=int, default=0,
                    help="Monte-Carlo cross-check sample count")
-    _add_common(p)
 
     p = sub.add_parser("train", help="fit a forecaster variant")
     _add_settings(p, "train")
-    _add_common(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     _add_settings(p, "eval")
-    _add_common(p)
 
     p = sub.add_parser("ablate", help="train every variant on one dataset")
     _add_settings(p, "ablate")
     p.add_argument("--assert-paper", action="store_true",
                    help="fail (exit 2) unless full beats each ablation "
                         "within 5%% slack")
-    _add_common(p)
 
     p = sub.add_parser("bench", help="hierarchical vs flat attention cost")
     p.add_argument("--channels", default="512,1024,2048",
@@ -334,23 +399,18 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=int, default=UCastConfig.ratio)
     p.add_argument("--heads", type=int, default=UCastConfig.heads)
     p.add_argument("--repeats", type=int, default=analysis.BENCH_REPEATS)
-    _add_common(p)
 
     p = sub.add_parser("sweep", help="grid over alpha, ratio, or layers")
     _add_settings(p, "sweep")
     p.add_argument("--param", choices=("alpha", "ratio", "layers"),
                    required=True)
-    p.add_argument("--values", default=None,
-                   help="comma list; defaults to the published range")
-    _add_common(p)
+    p.add_argument("--values", help="comma list; default: the published range")
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--force", action="store_true",
+                       help="allow writing into an existing run directory")
     return parser
-
-
-SWEEP_RANGES = {
-    "alpha": "0,0.001,0.01,0.1,1",
-    "ratio": "2,4,8,16",
-    "layers": "1,2,3",
-}
 
 
 # -- subcommands -----------------------------------------------------------
@@ -366,8 +426,8 @@ def cmd_synth(args) -> int:
                 "custom cell needs both --structure and --channels")
         settings = ((args.structure, args.channels, args.pooled),)
     else:
-        preset = args.settings or "default"
-        settings = bl.FULL_SETTINGS if preset == "full" else bl.QUICK_SETTINGS
+        settings = (bl.FULL_SETTINGS if args.settings == "full"
+                    else bl.QUICK_SETTINGS)
     result = bl.run_ci_cd_experiment(settings=settings, seed=args.seed)
     violations = bl.assert_paper_orderings(result)
     for cell in result.cells:
@@ -388,9 +448,7 @@ def cmd_synth(args) -> int:
             "settings": [list(s) for s in settings],
             "assert_paper": bool(args.assert_paper),
         })
-    if args.assert_paper and violations:
-        return EXIT_ASSERT_FAILED
-    return EXIT_OK
+    return EXIT_ASSERT_FAILED if args.assert_paper and violations else EXIT_OK
 
 
 def _risk_spec(args) -> VarProcessSpec:
@@ -406,11 +464,8 @@ def _risk_spec(args) -> VarProcessSpec:
     if args.structure is None or args.channels is None:
         raise ParameterError(
             "risk needs either --spec-file or --structure with --channels")
-    kwargs = {}
-    if args.target_radius is not None:
-        kwargs["target_radius"] = args.target_radius
     return make_var_spec(args.structure, args.channels, seed=args.seed,
-                         **kwargs)
+                         target_radius=args.target_radius)
 
 
 def cmd_risk(args) -> int:
@@ -466,77 +521,42 @@ def cmd_risk(args) -> int:
     return EXIT_OK
 
 
-def _parse_snapshot_epochs(text: str, max_epochs: int
-                           ) -> tuple[set[int], bool]:
-    """Parse "0,5,final" into (epoch set, include final flag); an epoch
-    outside 0..max_epochs, which no run reaches, is refused."""
-    epochs: set[int] = set()
-    include_final = False
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "final":
-            include_final = True
-            continue
-        try:
-            epoch = int(token)
-        except ValueError as exc:
-            raise ParameterError(f"bad snapshot epoch '{token}'") from exc
-        if not 0 <= epoch <= max_epochs:
-            raise ParameterError(
-                f"snapshot epoch {epoch} outside 0..{max_epochs}: no run "
-                f"with max_epochs={max_epochs} reaches it")
-        epochs.add(epoch)
-    return epochs, include_final
-
-
 def cmd_train(args) -> int:
-    cfg = _resolve(args, TABLE_DEFAULTS)
-    # its own rules refuse a max_epochs below 1 before the epochs are read
-    tcfg = train_config(cfg)
-    snap_epochs, snap_final = _parse_snapshot_epochs(cfg["snapshot_epochs"],
-                                                     tcfg.max_epochs)
-    split_fractions(cfg["split"])
-    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    # built before windowing, so its own rules refuse a zero lookback or
-    # horizon before any window is cut
-    ucfg = model_config(cfg, ds.n_channels)
-    train_w, val_w, test_w = windows_from_dataset(ds, cfg)
-    model = Forecaster(ucfg)
+    plan = plan_run(args)
+    ds, provenance = plan.series()
+    train_w, val_w, test_w = windows_from_dataset(ds, plan.settings)
+    model = Forecaster(plan.models[0])
     if args.out is not None and args.force:
-        # every check has passed: an earlier run's checkpoint and snapshots
-        # go, so none is left beside a config that does not describe it
-        for stale in (args.out / "checkpoint", args.out / "snapshots"):
-            if stale.exists():
-                shutil.rmtree(stale)
+        # every check has passed: each file an earlier run wrote goes, so
+        # none is left beside records that do not describe this run
+        for name in ("config.json", "report.json", "train_log.jsonl",
+                     "timing.json", "checkpoint", "snapshots"):
+            if (args.out / name).is_dir():
+                shutil.rmtree(args.out / name)
+            else:
+                (args.out / name).unlink(missing_ok=True)
     index_entries: list[dict] = []
     probe = train_w.inputs[0]
-
     callback = None
-    if (snap_epochs or snap_final) and args.out is not None:
+    if (plan.snapshot_epochs or plan.snapshot_final) and args.out is not None:
         def callback(epoch: int, m) -> None:
-            if epoch in snap_epochs:
-                entry = analysis.export_snapshots(
-                    args.out / "snapshots", m.trace(probe), epoch)
-                index_entries.append(entry)
+            if epoch in plan.snapshot_epochs:
+                index_entries.append(analysis.export_snapshots(
+                    args.out / "snapshots", m.trace(probe), epoch))
 
-    report = train(model, train_w, val_w, test_w, tcfg,
+    report = train(model, train_w, val_w, test_w, plan.train,
                    epoch_callback=callback)
     # the model now holds the best validated epoch's parameters, which the
     # callback has exported already if that epoch was listed
-    if (snap_final and args.out is not None and not report.diverged
-            and report.best_epoch not in snap_epochs):
-        entry = analysis.export_snapshots(
-            args.out / "snapshots", model.trace(probe), report.best_epoch)
-        index_entries.append(entry)
+    if (plan.snapshot_final and args.out is not None and not report.diverged
+            and report.best_epoch not in plan.snapshot_epochs):
+        index_entries.append(analysis.export_snapshots(
+            args.out / "snapshots", model.trace(probe), report.best_epoch))
     summary = report.summary()
     if args.out is not None:
-        write_json(args.out / "config.json",
-                   {"command": "train", **cfg, **provenance})
-        with open(args.out / "train_log.jsonl", "w") as fh:
-            for record in report.epochs:
-                fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+        write_json(args.out / "config.json", {**plan.settings, **provenance})
+        (args.out / "train_log.jsonl").write_text("".join(
+            json.dumps(asdict(r), sort_keys=True) + "\n" for r in report.epochs))
         write_json(args.out / "report.json", summary)
         write_json(args.out / "timing.json", report.timing())
         if index_entries:
@@ -553,51 +573,33 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = Path(args.checkpoint)
-    params, ucfg = load_checkpoint(ckpt)
-    cfg = {**_resolve(args, TABLE_DEFAULTS), "lookback": ucfg.lookback,
-           "horizon": ucfg.horizon}
-    split_fractions(cfg["split"])
-    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    if ds.n_channels != ucfg.channels:
-        raise ShapeError(
-            f"checkpoint expects {ucfg.channels} channels, dataset has "
-            f"{ds.n_channels}")
+    plan = plan_run(args)
+    ds, provenance = plan.series()
+    ucfg = plan.models[0]
     # the test segment alone is windowed; train gives the z-score statistics
-    (_, _, test), (mean, scale) = split_segments(ds, cfg)
-    mse, mae = evaluate(Forecaster(ucfg, params), sliding_windows(
+    train_seg, _, test = split_chronological(ds.values, plan.split,
+                                             ucfg.lookback + ucfg.horizon)
+    mean, scale = zscore_fit(train_seg)
+    mse, mae = evaluate(Forecaster(ucfg, plan.params), sliding_windows(
         zscore_apply(test, mean, scale), ucfg.lookback, ucfg.horizon))
-    print(f"test_mse: {mse}")
-    print(f"test_mae: {mae}")
+    print(f"test_mse: {mse}\ntest_mae: {mae}")
     if args.out is not None:
-        write_json(args.out / "config.json", {
-            "command": "eval", **cfg, "checkpoint": str(ckpt), **provenance})
+        write_json(args.out / "config.json", {**plan.settings, **provenance})
         write_json(args.out / "report.json", {"test_mse": mse, "test_mae": mae})
     return EXIT_OK
 
 
-def _train_grid(args, command: str, csv_name: str, columns: list[str],
-                runs: list[tuple[str, dict, dict]], **config_extra
-                ) -> list[dict] | None:
-    """Train one forecaster per run on one dataset, desk profile by default.
-
-    A run is (label, row, overrides): overrides patch the resolved config,
-    label names the run on stdout, and row fills `columns` of its CSV line,
-    which test_mse and test_mae complete.  With --out the CSV and
-    config.json are written.  Returns the rows, or None once a run diverges.
-    """
-    cfg = _resolve(args, DESK_DEFAULTS)
-    split_fractions(cfg["split"])
-    ds, provenance = resolve_data(cfg["data"], cfg["steps"], cfg["seed"])
-    # every run's config is built before windowing: its own rules refuse a
-    # zero lookback or horizon, or a bad --values entry, before any run trains
-    configs = [model_config({**cfg, **overrides}, ds.n_channels)
-               for _, _, overrides in runs]
-    train_w, val_w, test_w = windows_from_dataset(ds, cfg)
+def _train_grid(args, plan: RunPlan, csv_name: str,
+                runs: list[tuple[str, dict]]) -> list[dict] | None:
+    """Train one forecaster per model config of the plan on one dataset.
+    A run is (label, row): label names it on stdout, and row begins its CSV
+    line, which test_mse and test_mae complete.  Returns the rows, or None
+    once a run diverges."""
+    ds, provenance = plan.series()
+    train_w, val_w, test_w = windows_from_dataset(ds, plan.settings)
     rows = []
-    for (label, row, _), ucfg in zip(runs, configs):
-        model = Forecaster(ucfg)
-        report = train(model, train_w, val_w, test_w, train_config(cfg))
+    for (label, row), ucfg in zip(runs, plan.models):
+        report = train(Forecaster(ucfg), train_w, val_w, test_w, plan.train)
         if report.diverged:
             print(f"{label}: diverged ({report.divergence_note})")
             return None
@@ -606,16 +608,14 @@ def _train_grid(args, command: str, csv_name: str, columns: list[str],
         print(f"{label:16s}  test_mse {report.test_mse:.6f}  "
               f"test_mae {report.test_mae:.6f}")
     if args.out is not None:
-        write_csv(args.out / csv_name, [*columns, "test_mse", "test_mae"], rows)
-        write_json(args.out / "config.json", {
-            "command": command, **config_extra, **cfg, **provenance})
+        write_csv(args.out / csv_name, list(rows[0]), rows)
+        write_json(args.out / "config.json", {**plan.settings, **provenance})
     return rows
 
 
 def cmd_ablate(args) -> int:
-    rows = _train_grid(args, "ablate", "ablation.csv", ["variant"], [
-        (variant, {"variant": variant}, {"variant": variant})
-        for variant in VARIANTS])
+    rows = _train_grid(args, plan_run(args), "ablation.csv", [
+        (variant, {"variant": variant}) for variant in VARIANTS])
     if rows is None:
         return EXIT_DIVERGED
     full_mse = next(r["test_mse"] for r in rows if r["variant"] == "full")
@@ -626,9 +626,7 @@ def cmd_ablate(args) -> int:
         if row["variant"] != "full" and full_mse > row["test_mse"] * 1.05]
     for v in violations:
         print(f"ablation violation: {v}")
-    if args.assert_paper and violations:
-        return EXIT_ASSERT_FAILED
-    return EXIT_OK
+    return EXIT_ASSERT_FAILED if args.assert_paper and violations else EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -664,36 +662,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values_text = args.values or SWEEP_RANGES[args.param]
-    cast = float if args.param == "alpha" else int
-    try:
-        values = [cast(v) for v in values_text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad --values list '{values_text}'") from exc
-    if not values:
-        raise ParameterError("--values lists no value")
-    rows = _train_grid(args, "sweep", "sweep.csv", ["param", "value"], [
-        (f"{args.param}={value}", {"param": args.param, "value": value},
-         {args.param: value}) for value in values],
-        param=args.param, values=values)
+    plan = plan_run(args)
+    rows = _train_grid(args, plan, "sweep.csv", [
+        (f"{args.param}={value}", {"param": args.param, "value": value})
+        for value in plan.settings["values"]])
     return EXIT_DIVERGED if rows is None else EXIT_OK
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "risk": cmd_risk,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "bench": cmd_bench,
-    "sweep": cmd_sweep,
-}
+_COMMANDS = {"synth": cmd_synth, "risk": cmd_risk, "train": cmd_train,
+             "eval": cmd_eval, "ablate": cmd_ablate, "bench": cmd_bench,
+             "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     made: list[Path] = []
@@ -703,6 +686,10 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
         if args.out is not None:
+            if not args.out:
+                # Path("") would name the working directory
+                raise ParameterError("--out must name a directory, got ''")
+            args.out = Path(args.out)
             prepare_run_dir(args.out, args.force, made)
         return _COMMANDS[args.command](args)
     except DataError as exc:

@@ -68,13 +68,10 @@ def _interpolate_channel(col: np.ndarray, label: str) -> int:
     return int(bad.sum())
 
 
-def load_csv(path) -> TimeSeriesDataset:
-    """Read a time-major UTF-8 CSV in one pass, each row's floats appended
-    to one flat float64 buffer as it is read, by float() unless the row
-    holds a missing token; a first row that does not convert is the
-    header.  NaNs are linearly interpolated (edge-filled at the
-    boundaries) and counted in `repaired_cells`."""
-    path = Path(path)
+def _read_csv(path: Path, rows: float = math.inf) -> tuple[list[str], array]:
+    """The channel names of a time-major UTF-8 CSV and, in one flat float64
+    buffer, the floats of its first `rows` data rows (all by default), read
+    in one pass; a first row that does not convert is the header."""
 
     def to_float(tok: str) -> float:
         tok = tok.strip()
@@ -97,6 +94,8 @@ def load_csv(path) -> TimeSeriesDataset:
                 names = [tok.strip() for tok in first]
             # numbered as data rows: 1 is the first row after a header
             for number, tokens in enumerate(reader, start=2 if buf else 1):
+                if number > rows:
+                    break
                 # width before values, so a ragged row reads as ragged
                 if len(tokens) != len(names):
                     raise FormatError(
@@ -119,6 +118,19 @@ def load_csv(path) -> TimeSeriesDataset:
                             f"{path}: unparseable value in row {number}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+    return names, buf
+
+
+def csv_channels(path) -> int:
+    """load_csv's channel count, from the header and two data rows alone."""
+    return len(_read_csv(Path(path), rows=2)[0])
+
+
+def load_csv(path) -> TimeSeriesDataset:
+    """Read a time-major UTF-8 CSV.  NaNs are linearly interpolated
+    (edge-filled at the boundaries) and counted in `repaired_cells`."""
+    path = Path(path)
+    names, buf = _read_csv(path)
     if not buf:
         raise FormatError(f"{path}: no data rows")
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
 from ucast import analysis, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
-from ucast.model import (Forecaster, UCastConfig, param_shapes,
+from ucast.model import (VARIANTS, Forecaster, UCastConfig, param_shapes,
                          save_checkpoint)
 from ucast.rng import Stream
 from ucast.training import TrainConfig
@@ -294,17 +295,26 @@ class TestUsageErrors:
          EXIT_MISSING_DATA, "too short to build a 208-row window"),
         (["train", "--data", "missing.csv"], EXIT_MISSING_DATA,
          "missing.csv: No such file or directory"),
+        (["risk", "--structure", "anti_self", "--channels", "4", "--out", ""],
+         EXIT_USAGE, "--out must name a directory, got ''"),
+        (["train", "--data", "var:anti_self:8:120", "--force", "--out", ""],
+         EXIT_USAGE, "--out must name a directory, got ''"),
     ], ids=["synth-pooled", "synth-structure", "bench", "train", "sweep",
             "risk-radius", "train-heads", "train-structure",
             "train-steps", "sweep-values", "ablate-layers", "train-lookback",
-            "train-missing-csv"])
+            "train-missing-csv", "risk-empty-out", "train-force-empty-out"])
     def test_refused_parameter_leaves_no_run_directory(self, argv, code,
                                                        fragment, tmp_path):
         # main makes --out before the command starts and removes it again
-        # when the command ends without writing into it
+        # when the command ends without writing into it; a case's own --out
+        # comes last and wins, and the command runs in tmp_path, so an --out
+        # naming the working directory would write there
+        src = Path(cli.__file__).parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "ucast", *argv, "--out",
-             str(tmp_path / "run")], capture_output=True, text=True)
+            [sys.executable, "-m", "ucast", argv[0], "--out",
+             str(tmp_path / "run"), *argv[1:]], capture_output=True,
+            text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == code
         assert proc.stdout == ""
         assert_one_error_line(proc.stderr, fragment)
@@ -349,6 +359,91 @@ class TestUsageErrors:
                      *extra, flag])
         assert code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# refusals that need no series: (flags, error line) for each fitting
+# command, on var:anti_self:8:120 at TINY_TRAIN
+FIT_REFUSALS = {
+    "heads": (["--d", "8", "--heads", "3"],
+              "d=8 must be divisible by heads=3"),
+    "lookback": (["--lookback", "0"], "lookback must be >= 1, got 0"),
+    "horizon": (["--lookback", "8", "--horizon", "0"],
+                "horizon must be >= 1, got 0"),
+    "ratio": (["--ratio", "0"], "ratio must be >= 1, got 0"),
+    "layers": (["--layers", "9"], "layers=9 exceeds channels=8"),
+}
+# the same for every command that reads --split and --data, eval included
+SOURCE_REFUSALS = {
+    "split-sum": (["--split", "0.5,0.6,0.2"],
+                  "ratios must be non-negative with nonzero train and test, "
+                  "and sum to 1, got (0.5, 0.6, 0.2)"),
+    "split-count": (["--split", "0.8,0.2"],
+                    "--split needs three fractions, got '0.8,0.2'"),
+    "structure": (["--data", "var:nope:8:120"], "unknown structure 'nope'"),
+    "one-channel": (["--data", "var:anti_self:1:120"],
+                    "C must be >= 2, got 1"),
+    "burn-in": (["--data", "var:anti_self:8:10"],
+                "--data var:anti_self:8:10: 10 steps, need at least 11 to "
+                "outlast the 10-step burn-in"),
+}
+REFUSED_BEFORE_DATA = {
+    **{f"{command}-{name}": (command, flags, line)
+       for command in ("train", "ablate", "sweep")
+       for name, (flags, line) in FIT_REFUSALS.items()},
+    **{f"{command}-{name}": (command, flags, line)
+       for command in ("train", "ablate", "sweep", "eval")
+       for name, (flags, line) in SOURCE_REFUSALS.items()},
+    "train-snapshot-epoch": (
+        "train", ["--snapshot-epochs", "0,3"],
+        "snapshot epoch 3 outside 0..2: no run with max_epochs=2 reaches it"),
+    "train-csv-layers": ("train", ["--data", "{csv}", "--layers", "5"],
+                         "layers=5 exceeds channels=4"),
+    "sweep-ratio-value": ("sweep", ["--param", "ratio", "--values", "2,0"],
+                          "ratio must be >= 1, got 0"),
+    "sweep-layers-value": ("sweep", ["--param", "layers", "--values", "1,9"],
+                           "layers=9 exceeds channels=8"),
+    "sweep-alpha-value": ("sweep", ["--param", "alpha", "--values", "0,inf"],
+                          "alpha must be finite and >= 0, got inf"),
+    "sweep-values-list": ("sweep", ["--param", "ratio", "--values", "2,x"],
+                          "bad --values list '2,x'"),
+    "eval-channels": ("eval", ["--data", "var:anti_self:6:120"],
+                      "checkpoint expects 8 channels, dataset has 6"),
+    "eval-csv-channels": ("eval", ["--data", "{csv}"],
+                          "checkpoint expects 8 channels, dataset has 4"),
+}
+
+
+class TestRefusedBeforeData:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("before_data")
+        cfg = UCastConfig(channels=8, lookback=8, horizon=2, d=8, ratio=2)
+        save_checkpoint(root / "ckpt", Forecaster(cfg).params, cfg)
+        write_series_csv(root / "series.csv")          # four channels
+        return root
+
+    @pytest.mark.parametrize("case", REFUSED_BEFORE_DATA)
+    def test_refused_before_any_series(self, case, paths, monkeypatch,
+                                       capsys):
+        # the run plan refuses it with the exit code and the error line it
+        # had when the series came first, and no series is built
+        def unbuilt(*args):
+            raise AssertionError("a series was built before the refusal")
+
+        monkeypatch.setattr(cli, "resolve_data", unbuilt)
+        command, flags, line = REFUSED_BEFORE_DATA[case]
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(paths / "ckpt"),
+                    "--data", "var:anti_self:8:120"]
+        else:
+            argv = [command, "--data", "var:anti_self:8:120", *TINY_TRAIN]
+            if command == "sweep":
+                argv += ["--param", "alpha"]
+        code = main([*argv, *(flag.format(csv=paths / "series.csv")
+                              for flag in flags)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            EXIT_USAGE, "", f"error: {line}\n")
 
 
 class TestMissingData:
@@ -560,6 +655,18 @@ class TestCsvData:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {data}")
 
+    def test_csv_rewritten_after_its_first_rows_is_missing_data(
+            self, tmp_path, monkeypatch, capsys):
+        # the plan counts a CSV's channels from its first rows; a series
+        # that then loads at another width is refused, not trained
+        data = tmp_path / "series.csv"
+        write_series_csv(data)
+        monkeypatch.setattr(cli, "csv_channels", lambda path: 5)
+        code = main(["train", "--data", str(data), *TINY_TRAIN])
+        assert code == EXIT_MISSING_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: changed while it was read\n")
+
     def test_channel_without_finite_values_is_missing_data(self, tmp_path,
                                                           capsys):
         data = tmp_path / "bad.csv"
@@ -568,6 +675,30 @@ class TestCsvData:
         assert code == EXIT_MISSING_DATA
         assert capsys.readouterr().err == (
             f"error: {data}: channel 'b' has no finite values\n")
+
+
+def config_values(name: str):
+    """What a config file may hold for a setting: mostly values its reader
+    and the run plan accept, else a JSON scalar, a short list or a number
+    out of range."""
+    good = {
+        "variant": st.sampled_from(VARIANTS),
+        "split": st.sampled_from(["0.7,0.1,0.2", "0.6,0,0.4"]),
+        "snapshot_epochs": st.sampled_from(["", "0,final", " 1 "]),
+        "steps": st.sampled_from([20, 400.0]),
+        integral: st.sampled_from([1, 2, 4, 8, 8.0]),
+        finite: st.floats(1e-3, 2.0) | st.integers(1, 3),
+    }
+    good = good[name if name in good else SETTINGS[name][1]]
+    return st.one_of(*[good] * 8, JSON_SCALARS, st.integers(-2, 0),
+                     st.lists(JSON_SCALARS, max_size=2))
+
+
+# whole config files over every setting's key, a few keys each
+CONFIG_FILES = st.lists(
+    st.sampled_from(list(SETTINGS)), max_size=5, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {key: config_values(key) for key in keys}))
 
 
 class TestConfigPrecedence:
@@ -649,6 +780,54 @@ class TestConfigPrecedence:
         else:
             assert code is None, err.getvalue()
             assert seen[key] == expected and type(seen[key]) is type(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["train", "ablate", "sweep"]),
+           loaded=CONFIG_FILES)
+    def test_any_config_file_is_planned_or_refused(self, config_file,
+                                                   command, loaded):
+        # a whole file either exits 64 with one error line or passes every
+        # check of the run plan, which then holds each value as its reader
+        # reads it; the series is never built
+        config_file.write_text(json.dumps(loaded))
+        argv = [command, "--data", "var:anti_self:8", "--config",
+                str(config_file)]
+        if command == "sweep":
+            argv += ["--param", "alpha"]
+        plans, out, err = [], io.StringIO(), io.StringIO()
+        plan_run = cli.plan_run
+
+        def planned(args):
+            plans.append(plan_run(args))
+            return plans[-1]
+
+        def unbuilt(*args):
+            raise Resolved
+
+        with mock.patch.object(cli, "plan_run", planned), \
+                mock.patch.object(cli, "resolve_data", unbuilt), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Resolved:
+                code = None
+        if code is not None:
+            assert code == EXIT_USAGE and out.getvalue() == ""
+            assert_one_error_line(err.getvalue(), "")
+            return
+        assert set(loaded) <= {name for name, (_, _, commands)
+                               in SETTINGS.items() if command in commands}
+        settings = plans[0].settings
+        for key, value in loaded.items():
+            kind = {integral: "int", finite: "float",
+                    text: "str"}[SETTINGS[key][1]]
+            expected = read_as(kind, value)
+            if key == "lookback" and value is None:
+                expected = 4 * settings["horizon"]
+            assert expected is not REFUSED, (key, value)
+            assert settings[key] == expected
+            assert type(settings[key]) is type(expected)
 
     def test_config_file_must_be_json(self, tmp_path, capsys):
         # not JSON, not UTF-8, an integer too long for Python to convert,
@@ -772,6 +951,28 @@ class TestTrainArtifacts:
         assert not (out / "snapshots").exists()
         capsys.readouterr()
 
+    def test_force_rerun_failing_at_its_first_step_leaves_no_record(
+            self, tmp_path, monkeypatch, capsys):
+        # once its plan has passed, a --force rerun removes every file train
+        # writes and nothing else, so a rerun that fails before it writes
+        # leaves no record of the earlier run beside its missing checkpoint
+        out = tmp_path / "run"
+        argv = ["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                "--out", str(out), "--force"]
+        assert main([*argv, "--snapshot-epochs", "0,final"]) == EXIT_OK
+        assert {path.name for path in out.iterdir()} == {
+            "config.json", "report.json", "train_log.jsonl", "timing.json",
+            "checkpoint", "snapshots"}
+        (out / "notes.txt").write_text("not written by train\n")
+
+        def failing(*args):
+            raise NumericError("non-finite loss")
+
+        monkeypatch.setattr(training, "batch_gradients", failing)
+        assert main(argv) == EXIT_DIVERGED
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        capsys.readouterr()
+
     def test_eval_reproduces_test_mse(self, train_run, tmp_path, capsys):
         _, out, _ = train_run
         report = json.loads((out / "report.json").read_text())
@@ -806,7 +1007,9 @@ class TestTrainArtifacts:
         code = main(["eval", "--checkpoint", str(out / "checkpoint"),
                      "--data", data, "--out", str(tmp_path / "eval_run")])
         assert code == EXIT_OK
-        assert calls == [cli.split_segments(ds, cfg)[0][2].shape]
+        assert calls == [cli.split_chronological(
+            ds.values, cli.split_fractions(cfg["split"]),
+            ucfg.lookback + ucfg.horizon)[2].shape]
         report = json.loads((tmp_path / "eval_run" / "report.json").read_text())
         assert report == {"test_mse": mse, "test_mae": mae}
         capsys.readouterr()
