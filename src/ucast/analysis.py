@@ -145,9 +145,10 @@ def export_snapshots(out_dir, trace: ForwardTrace, epoch: int) -> dict:
     attn_down/attn_up maps per stage.  The returned dict is one entry for
     the run's artifact index.
     """
+    # every stage is summarized, and so can fail, before anything is made
+    stages = list(_stages(trace, epoch))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stages = list(_stages(trace, epoch))
     files = []
     for snap, sigma in stages:
         files.append(f"cov_epoch{epoch}_layer{snap.layer}.csv")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .data import WindowBatch, sliding_windows, zscore_apply, zscore_fit
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, NumericError, ParameterError, ShapeError
 from .linalg import as_stack
 from .rng import Stream
 from .training import TrainConfig, TrainReport, train
@@ -214,7 +214,9 @@ def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
     discarded each), stride-1 overlapping windows with lookback 4 and
     horizon 4, a chronological 80/20 split of each window population with
     channel statistics fitted on the training prefix only, training windows
-    pooled across sequences, and 100 training epochs for each model.
+    pooled across sequences, and 100 training epochs for each model.  A
+    baseline whose training diverges is a NumericError naming its cell, its
+    mode and the divergence note.
     """
     # every cell is checked before any series is drawn
     for structure, channels, pooled in settings:
@@ -243,6 +245,10 @@ def run_ci_cd_experiment(settings=QUICK_SETTINGS, seed: int = 0
             _, report = fit_linear_baseline(
                 mode, train_w, None, test_w, channels,
                 WINDOW_LOOKBACK, WINDOW_HORIZON, tc)
+            if report.diverged:
+                raise NumericError(f"{structure} C={channels} {mode}: "
+                                   f"training diverged: "
+                                   f"{report.divergence_note}")
             mses[mode] = float(report.test_mse)
             maes[mode] = float(report.test_mae)
         result.cells.append(CellResult(structure=structure, channels=channels,

@@ -290,7 +290,8 @@ def plan_run(args) -> RunPlan:
     elif args.command == "ablate":
         overrides = [{"variant": variant} for variant in VARIANTS]
     elif args.command == "sweep":
-        values_text = args.values or SWEEP_RANGES[args.param]
+        values_text = (SWEEP_RANGES[args.param] if args.values is None
+                       else args.values)
         cast = float if args.param == "alpha" else int
         try:
             values = [cast(v) for v in values_text.split(",") if v.strip()]
@@ -544,8 +545,19 @@ def cmd_train(args) -> int:
                 index_entries.append(analysis.export_snapshots(
                     args.out / "snapshots", m.trace(probe), epoch))
 
-    report = train(model, train_w, val_w, test_w, plan.train,
-                   epoch_callback=callback)
+    try:
+        report = train(model, train_w, val_w, test_w, plan.train,
+                       epoch_callback=callback)
+    except BaseException:
+        # a refusal, such as a first batch that does not fit in memory,
+        # writes no record, so no snapshot it exported is left undescribed;
+        # only the files its index entries list go, and snapshots/ if empty
+        for entry in index_entries:
+            for name in entry["files"]:
+                (args.out / "snapshots" / name).unlink(missing_ok=True)
+        if index_entries and not any((args.out / "snapshots").iterdir()):
+            (args.out / "snapshots").rmdir()
+        raise
     # the model now holds the best validated epoch's parameters, which the
     # callback has exported already if that epoch was listed
     if (plan.snapshot_final and args.out is not None and not report.diverged

@@ -248,8 +248,8 @@ def train(model: TrainableModel, train_windows: WindowBatch,
     epoch's parameters are restored before any test evaluation.
 
     Without a validation set the loop runs all epochs and keeps the final
-    parameters.  A NumericError before the first update propagates; any
-    later one ends the run with a diverged report, which names and restores
+    parameters.  A NumericError anywhere, the epoch-0 callback included,
+    ends the run with a diverged report, which names the place and restores
     the best validated epoch (0 and the last parameters when none was).  A
     batch whose graph does not fit in memory is a ParameterError: every
     full batch has the same shapes, so it fails at the first step.
@@ -313,10 +313,6 @@ def train(model: TrainableModel, train_windows: WindowBatch,
         if test_windows is not None:
             report.test_mse, report.test_mae = evaluate(model, test_windows)
     except NumericError as exc:
-        # before the first update (adam_step counts one once its norm is
-        # finite) it is a config problem; after it the iterates blew up
-        if state.step == 0:
-            raise
         _restore(model.params, best_params)
         report.diverged = True
         report.divergence_note = f"numeric failure {where}: {exc}"

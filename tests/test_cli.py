@@ -24,7 +24,7 @@ from conftest import (JSON_SCALARS, REFUSED, read_as, rotation_spec,
 from ucast.cli import (DESK_DEFAULTS, EXIT_ASSERT_FAILED, EXIT_DIVERGED,
                        EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, SETTINGS,
                        TABLE_DEFAULTS, main)
-from ucast import analysis, cli, training
+from ucast import analysis, baselines, cli, training
 from ucast.errors import (DefinitenessError, NumericError, finite, integral,
                           text)
 from ucast.model import (VARIANTS, Forecaster, UCastConfig, param_shapes,
@@ -131,6 +131,29 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "batch of 16 windows" in err and "--batch-size" in err
+
+    def test_batch_out_of_memory_leaves_no_snapshot(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the epoch-0 export runs before the first batch; a refused run
+        # writes no index, so the files it exported go again, and only those
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+        monkeypatch.setattr(training, "batch_gradients", out_of_memory)
+        argv = ["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                "--snapshot-epochs", "0,final", "--out"]
+        fresh = tmp_path / "fresh"
+        assert main([*argv, str(fresh)]) == EXIT_USAGE
+        assert not fresh.exists()
+        kept = tmp_path / "kept"
+        (kept / "snapshots").mkdir(parents=True)
+        (kept / "snapshots" / "notes.txt").write_text("not written by train\n")
+        assert main([*argv, str(kept)]) == EXIT_USAGE
+        assert [str(path.relative_to(kept)) for path in kept.rglob("*")] == [
+            "snapshots", str(Path("snapshots", "notes.txt"))]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(
+            "a batch of 16 windows does not fit in memory" in line
+            for line in err)
 
     @pytest.mark.parametrize("name", ["make_var_spec", "simulate"])
     def test_var_data_out_of_memory_is_usage_error(self, name, monkeypatch,
@@ -951,11 +974,11 @@ class TestTrainArtifacts:
         assert not (out / "snapshots").exists()
         capsys.readouterr()
 
-    def test_force_rerun_failing_at_its_first_step_leaves_no_record(
+    def test_force_rerun_failing_at_its_first_step_leaves_only_its_records(
             self, tmp_path, monkeypatch, capsys):
         # once its plan has passed, a --force rerun removes every file train
-        # writes and nothing else, so a rerun that fails before it writes
-        # leaves no record of the earlier run beside its missing checkpoint
+        # writes and nothing else, so a rerun that fails at its first step
+        # leaves its own four records and none of the earlier run's
         out = tmp_path / "run"
         argv = ["train", "--data", "var:independent:4:120", *TINY_TRAIN,
                 "--out", str(out), "--force"]
@@ -970,7 +993,16 @@ class TestTrainArtifacts:
 
         monkeypatch.setattr(training, "batch_gradients", failing)
         assert main(argv) == EXIT_DIVERGED
-        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        assert {path.name for path in out.iterdir()} == {
+            "config.json", "report.json", "train_log.jsonl", "timing.json",
+            "notes.txt"}
+        assert json.loads((out / "config.json").read_text())[
+            "snapshot_epochs"] == ""
+        assert json.loads((out / "report.json").read_text()) == {
+            "epochs_run": 1, "best_epoch": 0, "test_mse": None,
+            "test_mae": None, "diverged": True,
+            "divergence_note": "numeric failure at epoch 1: non-finite loss"}
+        assert (out / "train_log.jsonl").read_text() == ""
         capsys.readouterr()
 
     def test_eval_reproduces_test_mse(self, train_run, tmp_path, capsys):
@@ -1201,16 +1233,71 @@ class TestDivergence:
 
     @pytest.mark.parametrize("error", [NumericError, DefinitenessError])
     def test_numeric_failure_at_the_first_step_exits_with_divergence_code(
-            self, error, monkeypatch, capsys):
-        # the first step re-raises instead of reporting a divergence, so the
-        # exit code comes from main's mapping of the error
+            self, error, tmp_path, monkeypatch, capsys):
+        # the first step fails as a later one would: a diverged report, its
+        # records written, no checkpoint, and the model as it was built
         def failing(*args):
             raise error("covariance is not positive definite")
 
+        built = []
+
+        class Kept(Forecaster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
         monkeypatch.setattr(training, "batch_gradients", failing)
-        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN])
+        monkeypatch.setattr(cli, "Forecaster", Kept)
+        out = tmp_path / "run"
+        code = main(["train", "--data", "var:independent:4:120", *TINY_TRAIN,
+                     "--out", str(out)])
         assert code == EXIT_DIVERGED
-        assert "positive definite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ("training diverged: numeric failure at epoch 1: covariance "
+                "is not positive definite") in captured.out
+        report = json.loads((out / "report.json").read_text())
+        assert report["diverged"] and report["epochs_run"] == 1
+        assert sorted(path.name for path in out.iterdir()) == [
+            "config.json", "report.json", "timing.json", "train_log.jsonl"]
+        model, = built
+        fresh = Forecaster(model.config)
+        assert all(np.array_equal(model.params[k], fresh.params[k])
+                   for k in fresh.params)
+
+    def test_singular_covariance_at_the_first_step_writes_diverged_records(
+            self, tmp_path, capsys):
+        # eps_cov 1e-300 leaves the 8 x 8 latent covariance of d=4 rows
+        # singular, so the first Cholesky factorization fails: in the first
+        # step, or in the epoch-0 export when epoch 0 is listed
+        argv = ["train", "--data", "var:independent:16:600", "--d", "4",
+                "--ratio", "2", "--batch-size", "16", "--max-epochs", "2"]
+        singular = [*argv, "--eps-cov", "1e-300", "--alpha", "1"]
+        records = ["config.json", "report.json", "timing.json",
+                   "train_log.jsonl"]
+        for extra, where, epochs_run in (
+                ([], "at epoch 1", 1),
+                (["--snapshot-epochs", "0,final"], "after epoch 0", 0)):
+            out = tmp_path / where.replace(" ", "_")
+            assert main([*singular, *extra, "--out", str(out)]) == (
+                EXIT_DIVERGED)
+            report = json.loads((out / "report.json").read_text())
+            assert report["diverged"]
+            assert report["divergence_note"].startswith(
+                f"numeric failure {where}: cholesky: ")
+            assert (report["epochs_run"], report["best_epoch"]) == (
+                epochs_run, 0)
+            assert sorted(path.name for path in out.iterdir()) == records
+        # over a finished run, a --force rerun leaves the rerun's records
+        out = tmp_path / "rerun"
+        assert main([*argv, "--snapshot-epochs", "0,final",
+                     "--out", str(out)]) == EXIT_OK
+        assert main([*singular, "--force", "--out", str(out)]) == (
+            EXIT_DIVERGED)
+        assert sorted(path.name for path in out.iterdir()) == records
+        assert json.loads((out / "config.json").read_text())["eps_cov"] == (
+            1e-300)
+        capsys.readouterr()
 
     def test_snapshot_failure_after_first_update_writes_report(
             self, tmp_path, monkeypatch, capsys):
@@ -1528,6 +1615,24 @@ class TestSynth:
         assert main(["synth", "--channels", "4"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_diverged_baseline_exits_with_divergence_code(
+            self, tmp_path, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            return training.TrainReport(
+                diverged=True,
+                divergence_note="numeric failure at epoch 3: non-finite loss")
+
+        monkeypatch.setattr(baselines, "train", diverged)
+        out = tmp_path / "run"
+        assert main(["synth", "--structure", "anti_self", "--channels", "4",
+                     "--pooled", "1", "--out", str(out)]) == EXIT_DIVERGED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(
+            captured.err, "anti_self C=4 ci: training diverged: numeric "
+            "failure at epoch 3: non-finite loss")
+        assert not out.exists()
+
     def test_cell_without_sequences_is_usage_error(self, capsys):
         assert main(["synth", "--structure", "anti_self", "--channels", "4",
                      "--pooled", "0"]) == EXIT_USAGE
@@ -1582,6 +1687,17 @@ class TestAblateAndSweep:
     def test_sweep_empty_values(self, tmp_path, capsys):
         code = main(["sweep", "--data", "var:anti_self:8:300", *TINY_TRAIN,
                      "--param", "alpha", "--values", ",",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "--values lists no value")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_empty_string_values(self, tmp_path, capsys):
+        # an empty --values is a list with no value, not an absent one
+        code = main(["sweep", "--data", "var:anti_self:8:600", *TINY_TRAIN,
+                     "--param", "ratio", "--values", "",
                      "--out", str(tmp_path / "sweep")])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()

@@ -422,12 +422,18 @@ class TestTrainLoop:
         report = train(model, toy_batch(), None, None, cfg)
         assert report.diverged and report.best_epoch == 0
 
-    def test_numeric_failure_on_first_batch_raises(self):
+    def test_numeric_failure_on_first_batch_reports_divergence(self):
+        # before any update the parameters are the initial ones, and the
+        # report names epoch 0 as the best, with no epoch run to completion
         model = FailingModel(np.ones((2, 2)), fail_at=1)
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5,
                           seed=0)
-        with pytest.raises(DefinitenessError):
-            train(model, toy_batch(), None, None, cfg)
+        report = train(model, toy_batch(), None, None, cfg)
+        assert report.diverged and report.stopped_epoch == 1
+        assert report.divergence_note == (
+            "numeric failure at epoch 1: synthetic factorization failure")
+        assert report.epochs == [] and report.best_epoch == 0
+        assert np.array_equal(model.params["w"], np.zeros((2, 2)))
 
     @staticmethod
     def poison_gradient(monkeypatch, at_call: int):
@@ -445,12 +451,17 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "batch_gradients", poisoned)
 
-    def test_non_finite_gradient_on_first_step_raises(self, monkeypatch):
+    def test_non_finite_gradient_on_first_step_reports_divergence(
+            self, monkeypatch):
         self.poison_gradient(monkeypatch, at_call=1)
         model = QuadraticModel(np.ones((2, 2)))
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=5, patience=5)
-        with pytest.raises(NumericError, match="non-finite gradient for 'w'"):
-            train(model, toy_batch(), None, None, cfg)
+        report = train(model, toy_batch(), None, None, cfg)
+        assert report.diverged and report.stopped_epoch == 1
+        assert report.divergence_note == ("numeric failure at epoch 1: "
+                                          "adam_step: non-finite gradient "
+                                          "for 'w'")
+        assert report.epochs == [] and report.best_epoch == 0
         assert np.array_equal(model.params["w"], np.zeros((2, 2)))
 
     def test_non_finite_gradient_after_progress_reports_divergence(
@@ -481,14 +492,19 @@ class TestTrainLoop:
         assert "test evaluation" in report.divergence_note
         assert report.test_mse is None
 
-    def test_callback_failure_before_first_update_raises(self):
+    def test_callback_failure_before_first_update_diverges(self):
         def fail(epoch, m):
             raise NumericError(f"synthetic callback failure at {epoch}")
 
         model = QuadraticModel(np.ones((2, 2)))
         cfg = TrainConfig(lr=0.1, batch_size=8, max_epochs=3, patience=5)
-        with pytest.raises(NumericError, match="callback failure at 0"):
-            train(model, toy_batch(), None, None, cfg, epoch_callback=fail)
+        report = train(model, toy_batch(), None, toy_batch(count=8), cfg,
+                       epoch_callback=fail)
+        assert report.diverged and report.stopped_epoch == 0
+        assert report.divergence_note == (
+            "numeric failure after epoch 0: synthetic callback failure at 0")
+        assert report.epochs == [] and report.best_epoch == 0
+        assert report.test_mse is None
         assert np.array_equal(model.params["w"], np.zeros((2, 2)))
 
     def test_callback_failure_after_first_update_diverges(self):
